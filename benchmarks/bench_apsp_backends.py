@@ -1,10 +1,11 @@
-"""APSP engine comparison: python/numpy kernels x serial/thread/process backends.
+"""APSP engine comparison: exact APSP methods x serial/thread/process backends.
 
 The acceptance bar for the CSR refactor is end-to-end: on a 500-vertex TMFG
-the numpy CSR kernel must beat the seed implementation (per-source Dijkstra
-over the adjacency-list graph) by at least 3x, with byte-identical
-distances.  This module measures every kernel x backend combination plus the
-adjacency-list baseline.
+the batched CSR relaxation must beat the seed implementation (per-source
+Dijkstra over the adjacency-list graph) by at least 3x, with byte-identical
+distances.  This module measures ``dijkstra`` on every backend and SciPy's
+C Dijkstra (``scipy``, which runs in-process and ignores the backend), each
+checked byte for byte against the adjacency-list baseline.
 
 Run under pytest-benchmark like the other ``bench_*`` scripts (``pytest
 benchmarks/bench_apsp_backends.py --benchmark-only --benchmark-json=out.json``
@@ -28,8 +29,9 @@ from repro.graph.weighted_graph import WeightedGraph
 from repro.parallel.scheduler import make_backend
 
 NUM_VERTICES = 500
-KERNELS = ("python", "numpy")
 BACKENDS = ("serial", "thread", "process")
+#: (method, backend) pairs measured; ``scipy`` does not use the backend.
+COMBINATIONS = tuple(("dijkstra", backend) for backend in BACKENDS) + (("scipy", "serial"),)
 
 
 def _build_distance_graph(n: int = NUM_VERTICES, seed: int = 3) -> WeightedGraph:
@@ -66,15 +68,14 @@ def test_bench_apsp_seed_baseline(benchmark, distance_graph):
     assert distances.shape == (NUM_VERTICES, NUM_VERTICES)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_bench_apsp_kernel_backend(benchmark, distance_graph, csr_graph, kernel, backend_name):
+@pytest.mark.parametrize("method,backend_name", COMBINATIONS)
+def test_bench_apsp_method_backend(benchmark, distance_graph, csr_graph, method, backend_name):
     backend = make_backend(backend_name, num_workers=2)
     try:
         distances = benchmark.pedantic(
             all_pairs_shortest_paths,
             args=(csr_graph,),
-            kwargs={"backend": backend, "kernel": kernel},
+            kwargs={"backend": backend, "method": method},
             rounds=2,
             iterations=1,
         )
@@ -95,33 +96,32 @@ def main() -> dict:
     results = [
         {
             "name": "seed-adjacency-dijkstra",
-            "kernel": "python",
+            "method": "adjacency-list",
             "backend": "seed",
             "seconds": round(seed_seconds, 4),
             "speedup_vs_seed": 1.0,
             "identical": True,
         }
     ]
-    for kernel in KERNELS:
-        for backend_name in BACKENDS:
-            backend = make_backend(backend_name, num_workers=2)
-            try:
-                all_pairs_shortest_paths(csr, backend=backend, kernel=kernel)  # warm-up
-                start = time.perf_counter()
-                distances = all_pairs_shortest_paths(csr, backend=backend, kernel=kernel)
-                seconds = time.perf_counter() - start
-            finally:
-                backend.close()
-            results.append(
-                {
-                    "name": f"csr-{kernel}-{backend_name}",
-                    "kernel": kernel,
-                    "backend": backend_name,
-                    "seconds": round(seconds, 4),
-                    "speedup_vs_seed": round(seed_seconds / seconds, 2),
-                    "identical": bool(np.array_equal(distances, reference)),
-                }
-            )
+    for method, backend_name in COMBINATIONS:
+        backend = make_backend(backend_name, num_workers=2)
+        try:
+            all_pairs_shortest_paths(csr, backend=backend, method=method)  # warm-up
+            start = time.perf_counter()
+            distances = all_pairs_shortest_paths(csr, backend=backend, method=method)
+            seconds = time.perf_counter() - start
+        finally:
+            backend.close()
+        results.append(
+            {
+                "name": f"csr-{method}-{backend_name}",
+                "method": method,
+                "backend": backend_name,
+                "seconds": round(seconds, 4),
+                "speedup_vs_seed": round(seed_seconds / seconds, 2),
+                "identical": bool(np.array_equal(distances, reference)),
+            }
+        )
     report = {
         "benchmark": "apsp_backends",
         "num_vertices": NUM_VERTICES,

@@ -3,9 +3,8 @@
 Three sections, one JSON report (``benchmarks/results/scaling.json``):
 
 * **cold** — per graph size, wall-clock of every APSP method on the TMFG
-  distance graph (``dijkstra`` numpy/python kernels, ``scipy``, ``floyd``;
-  the cubic/interpreted ones are capped at small sizes), plus ``landmark``
-  at the default count.
+  distance graph (``dijkstra``, ``scipy`` with its byte identity to
+  ``dijkstra``), plus ``landmark`` at the default count.
 * **warm ticks** — the incremental engine against cold recomputes over a
   sequence of sparse weight perturbations.  Each tick jitters
   ``--delta-edges`` low-traffic edges (the edges tight for the fewest
@@ -43,9 +42,6 @@ from repro.graph.incremental_apsp import IncrementalAPSP
 from repro.graph.shortest_paths import all_pairs_shortest_paths
 from repro.metrics.ari import adjusted_rand_index
 
-#: Interpreted / cubic methods are skipped above these sizes.
-PYTHON_KERNEL_CAP = 1000
-FLOYD_CAP = 1000
 PREFIX = 10
 NUM_CLUSTERS = 8
 
@@ -67,38 +63,19 @@ def _timed(fn):
     return result, time.perf_counter() - start
 
 
-def cold_section(csr: CSRGraph, size: int) -> list:
-    """Wall-clock of every applicable cold APSP method at this size."""
+def cold_section(csr: CSRGraph) -> list:
+    """Wall-clock of every cold APSP method on one graph."""
     rows = []
-    reference, seconds = _timed(lambda: all_pairs_shortest_paths(csr, kernel="numpy"))
-    rows.append({"method": "dijkstra", "kernel": "numpy", "seconds": round(seconds, 4)})
-    if size <= PYTHON_KERNEL_CAP:
-        result, seconds = _timed(lambda: all_pairs_shortest_paths(csr, kernel="python"))
-        rows.append(
-            {
-                "method": "dijkstra",
-                "kernel": "python",
-                "seconds": round(seconds, 4),
-                "identical": bool(np.array_equal(result, reference)),
-            }
-        )
+    reference, seconds = _timed(lambda: all_pairs_shortest_paths(csr))
+    rows.append({"method": "dijkstra", "seconds": round(seconds, 4)})
     result, seconds = _timed(lambda: all_pairs_shortest_paths(csr, method="scipy"))
     rows.append(
         {
             "method": "scipy",
             "seconds": round(seconds, 4),
-            "max_abs_diff": float(np.max(np.abs(result - reference))),
+            "identical": bool(np.array_equal(result, reference)),
         }
     )
-    if size <= FLOYD_CAP:
-        result, seconds = _timed(lambda: all_pairs_shortest_paths(csr, method="floyd"))
-        rows.append(
-            {
-                "method": "floyd",
-                "seconds": round(seconds, 4),
-                "max_abs_diff": float(np.max(np.abs(result - reference))),
-            }
-        )
     result, seconds = _timed(lambda: all_pairs_shortest_paths(csr, method="landmark"))
     overestimate = result - reference
     rows.append(
@@ -136,7 +113,7 @@ def warm_tick_section(csr: CSRGraph, size: int, args, rng) -> dict:
     """Incremental repair vs cold recompute over sparse weight jitters."""
     n = csr.num_vertices
     engine = IncrementalAPSP()
-    first, first_seconds = _timed(lambda: engine.update(csr, kernel="numpy"))
+    first, first_seconds = _timed(lambda: engine.update(csr))
 
     heads, uu, vv, ww = _undirected_edges(csr)
     counts = _tight_counts(first, uu, vv, ww)
@@ -153,10 +130,8 @@ def warm_tick_section(csr: CSRGraph, size: int, args, rng) -> dict:
         edge_weights = ww.copy()
         edge_weights[picked] *= rng.uniform(0.98, 1.02, size=picked.size)
         perturbed = CSRGraph(csr.indptr, csr.indices, edge_weights[arc_edge])
-        repaired, inc_seconds = _timed(lambda: engine.update(perturbed, kernel="numpy"))
-        cold, cold_seconds = _timed(
-            lambda: all_pairs_shortest_paths(perturbed, kernel="numpy")
-        )
+        repaired, inc_seconds = _timed(lambda: engine.update(perturbed))
+        cold, cold_seconds = _timed(lambda: all_pairs_shortest_paths(perturbed))
         assert np.array_equal(repaired, cold), (
             f"incremental repair diverged from cold dijkstra at size {size}, tick {tick}"
         )
@@ -185,7 +160,7 @@ def warm_tick_section(csr: CSRGraph, size: int, args, rng) -> dict:
 
 def landmark_quality_section(similarity, dissimilarity, tmfg, args) -> dict:
     """ARI-vs-time curve of the landmark mode against the exact DBHT cut."""
-    exact = dbht(tmfg, similarity, dissimilarity, apsp_method="dijkstra", kernel="numpy")
+    exact = dbht(tmfg, similarity, dissimilarity, apsp_method="dijkstra")
     exact_labels = exact.cut(NUM_CLUSTERS)
     exact_distances = exact.shortest_paths
     exact_seconds = exact.step_seconds["apsp"]
@@ -199,7 +174,6 @@ def landmark_quality_section(similarity, dissimilarity, tmfg, args) -> dict:
             dissimilarity,
             apsp_method="landmark",
             landmarks=count,
-            kernel="numpy",
         )
         labels = result.cut(NUM_CLUSTERS)
         error = float(np.mean(np.abs(result.shortest_paths - exact_distances)))
@@ -266,7 +240,7 @@ def main(argv=None) -> dict:
     for size in sizes:
         similarity, dissimilarity, tmfg, csr = _build(size, args.seed)
         print(f"-- size {size}: graph built ({csr.num_edges} edges)", flush=True)
-        report["cold"].append({"num_vertices": size, "methods": cold_section(csr, size)})
+        report["cold"].append({"num_vertices": size, "methods": cold_section(csr)})
         report["warm_ticks"].append(warm_tick_section(csr, size, args, rng))
         if size == max(sizes):
             largest_artifacts = (similarity, dissimilarity, tmfg)

@@ -9,7 +9,7 @@ runner's parameter copies:
 * ``method`` — a registry id resolved by
   :func:`repro.api.estimators.make_estimator` (``"tmfg-dbht"``,
   ``"pmfg-dbht"``, ``"hac"``, ``"kmeans"``, ...);
-* the TMFG/DBHT knobs ``prefix``, ``apsp_method``, ``kernel``,
+* the TMFG/DBHT knobs ``prefix``, ``apsp_method``, ``landmarks``,
   ``warm_start``;
 * the execution knobs ``backend`` (a *name*, so the config stays
   serializable; pools are opened with :meth:`ClusteringConfig.open_backend`
@@ -30,14 +30,13 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.parallel.kernels import resolve_kernel_name
 from repro.parallel.scheduler import BACKEND_NAMES, ParallelBackend, make_backend
 
 #: The built-in APSP methods; kept for documentation and backwards
 #: compatibility.  Validation resolves against the *live* registry
 #: (:func:`repro.graph.shortest_paths.available_apsp_methods`), so custom
 #: methods registered with ``register_apsp_method`` are accepted too.
-APSP_METHODS = ("dijkstra", "floyd", "scipy", "incremental", "landmark")
+APSP_METHODS = ("dijkstra", "scipy", "incremental", "landmark")
 LINKAGE_NAMES = ("single", "complete", "average", "weighted")
 
 DEFAULT_METHOD = "tmfg-dbht"
@@ -64,8 +63,10 @@ class ClusteringConfig:
     apsp_method:
         APSP implementation for the DBHT, resolved against the live method
         registry (:func:`repro.graph.shortest_paths.available_apsp_methods`).
-        ``"dijkstra"``/``"floyd"``/``"scipy"`` give identical distances;
-        ``"incremental"`` is exact and reuses state across streaming ticks;
+        ``"dijkstra"`` (the default) and ``"scipy"`` give byte-identical
+        distances (``"scipy"`` is faster but loading SciPy's graph module
+        costs resident memory, so it is opt-in); ``"incremental"`` is
+        exact and reuses state across streaming ticks;
         ``"landmark"`` is the opt-in approximate mode — it never engages
         unless selected here.
     landmarks:
@@ -73,9 +74,6 @@ class ClusteringConfig:
         method's default, currently 32).  Rejected for any other
         ``apsp_method``.  Part of the cache fingerprint, so approximate
         results can never collide with exact cache entries.
-    kernel:
-        Hot-loop kernel name (``"python"``/``"numpy"``/any registered
-        custom kernel); ``None`` uses the process-wide default.
     backend:
         Parallel-backend *name* (``"serial"``/``"thread"``/``"process"``)
         or ``None`` for the serial default.  Kept as a name so the config
@@ -116,7 +114,6 @@ class ClusteringConfig:
     prefix: int = 1
     apsp_method: str = "dijkstra"
     landmarks: Optional[int] = None
-    kernel: Optional[str] = None
     backend: Optional[str] = None
     workers: Optional[int] = None
     warm_start: bool = False
@@ -150,8 +147,6 @@ class ClusteringConfig:
                 )
             if self.landmarks < 2:
                 raise ValueError("landmarks must be at least 2")
-        if self.kernel is not None:
-            resolve_kernel_name(self.kernel)
         if self.backend is not None and self.backend not in BACKEND_NAMES:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {BACKEND_NAMES}"

@@ -240,7 +240,6 @@ class TMFGClusterer(ClusteringEstimator):
             prefix=self.config.prefix,
             backend=backend,
             apsp_method=self.config.apsp_method,
-            kernel=self.config.kernel,
             warm_start=warm_start,
             apsp_state=apsp_state,
             landmarks=self.config.landmarks,
@@ -271,9 +270,7 @@ class PMFGClusterer(ClusteringEstimator):
     def _fit(self, data, similarity, dissimilarity, backend, **fit_params):
         from repro.baselines.classic_dbht import pmfg_dbht
 
-        classic = pmfg_dbht(
-            similarity, dissimilarity, kernel=self.config.kernel, backend=backend
-        )
+        classic = pmfg_dbht(similarity, dissimilarity, backend=backend)
         result = ClusterResult(
             method=self.method_id,
             config=self.config,
@@ -296,14 +293,10 @@ class ClassicDBHTClusterer(ClusteringEstimator):
         if dissimilarity is None:
             dissimilarity = default_dissimilarity(similarity)
         tmfg_start = time.perf_counter()
-        tmfg = construct_tmfg(
-            similarity, prefix=1, build_bubble_tree=False, kernel=self.config.kernel
-        )
+        tmfg = construct_tmfg(similarity, prefix=1, build_bubble_tree=False)
         tmfg_seconds = time.perf_counter() - tmfg_start
         dbht_start = time.perf_counter()
-        classic = classic_dbht(
-            tmfg.graph, dissimilarity, kernel=self.config.kernel, backend=backend
-        )
+        classic = classic_dbht(tmfg.graph, dissimilarity, backend=backend)
         dbht_seconds = time.perf_counter() - dbht_start
         result = ClusterResult(
             method=self.method_id,

@@ -8,7 +8,7 @@ computation-relevant fields of the
 :class:`~repro.api.config.ClusteringConfig` plus the input matrix's
 dtype/shape/bytes (see :mod:`repro.cache.fingerprint`).
 
-Because every kernel/backend combination in this library is byte-identical
+Because every backend and exact APSP method in this library is byte-identical
 by construction, a cache hit is guaranteed to return exactly what a cold
 fit would have produced (it returns the stored cold fit, timings and all).
 

@@ -48,7 +48,6 @@ FINGERPRINT_FIELDS = (
     "prefix",
     "apsp_method",
     "landmarks",
-    "kernel",
     "backend",
     "workers",
     "warm_start",
@@ -59,8 +58,10 @@ FINGERPRINT_FIELDS = (
     "spectral_neighbors",
 )
 
-#: Bumped whenever the key derivation changes; folded into every key.
-FINGERPRINT_VERSION = 1
+#: Bumped whenever the key derivation or the bytes a cached config produces
+#: change; folded into every key.  v2: ``apsp_method="scipy"`` no longer
+#: clamps zero-length edges, so its distances (and results) changed.
+FINGERPRINT_VERSION = 2
 
 
 def _digest() -> "hashlib._Hash":

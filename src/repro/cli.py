@@ -18,7 +18,7 @@ Three subcommands cover the library's main workflows without writing Python:
 ``serve``
     Run the micro-batching HTTP/JSON clustering daemon (``POST /cluster``,
     ``GET /healthz``, ``GET /metrics``) until SIGTERM.  The flags shared
-    with ``cluster`` (``--kernel``, ``--backend``, ``--config``,
+    with ``cluster`` (``--apsp-method``, ``--backend``, ``--config``,
     ``--cache-dir``, ...) set the *default* config that request payloads
     overlay.
 
@@ -62,7 +62,6 @@ from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import format_stream_ticks, format_table
 from repro.graph.shortest_paths import available_apsp_methods
-from repro.parallel.kernels import KERNEL_NAMES
 from repro.parallel.scheduler import BACKEND_NAMES
 from repro.streaming.runner import StreamingPipeline
 
@@ -108,7 +107,6 @@ _FLAG_SPELLINGS = (
     ("landmarks", "--landmarks"),
     ("workers", "--workers"),
     ("backend", "--backend"),
-    ("kernel", "--kernel"),
     ("prefix", "--prefix"),
     ("method", "--method"),
 )
@@ -165,8 +163,6 @@ def _config_from_args(args: argparse.Namespace, default: ClusteringConfig) -> Cl
         changes["num_clusters"] = args.clusters
     if getattr(args, "prefix", None) is not None:
         changes["prefix"] = args.prefix
-    if getattr(args, "kernel", None) is not None:
-        changes["kernel"] = args.kernel
     if getattr(args, "apsp_method", None) is not None:
         changes["apsp_method"] = args.apsp_method
     if getattr(args, "landmarks", None) is not None:
@@ -344,7 +340,6 @@ def _serve_replica_argv(args: argparse.Namespace) -> list:
         ("--clusters", args.clusters),
         ("--method", args.method),
         ("--prefix", args.prefix),
-        ("--kernel", args.kernel),
         ("--apsp-method", args.apsp_method),
         ("--landmarks", args.landmarks),
         ("--backend", args.backend),
@@ -559,18 +554,12 @@ def _command_list_methods(_: argparse.Namespace) -> int:
 
 
 def _add_execution_flags(parser: argparse.ArgumentParser, include_workers: bool = True) -> None:
-    """The kernel/backend/workers flags shared by cluster and stream.
+    """The APSP/backend/workers flags shared by cluster and stream.
 
     ``include_workers=False`` leaves ``--workers`` out so a subcommand can
     claim that spelling for itself (serve uses it for the replica count;
     its backend worker count is still settable via ``--config``).
     """
-    parser.add_argument(
-        "--kernel",
-        choices=KERNEL_NAMES,
-        default=None,
-        help="hot-loop kernel for gains/APSP (default: numpy; identical results)",
-    )
     parser.add_argument(
         "--apsp-method",
         dest="apsp_method",

@@ -63,7 +63,6 @@ def dbht(
     tracker: Optional[WorkSpanTracker] = None,
     backend: Optional[ParallelBackend] = None,
     apsp_method: str = "dijkstra",
-    kernel: Optional[str] = None,
     apsp_state=None,
     landmarks: Optional[int] = None,
 ) -> DBHTResult:
@@ -83,19 +82,14 @@ def dbht(
     apsp_method:
         Any id from the APSP method registry
         (:func:`repro.graph.shortest_paths.available_apsp_methods`):
-        ``"dijkstra"`` (the paper's per-source algorithm run as batched CSR
-        kernels, optionally over a thread/process backend), ``"floyd"``
-        (vectorised Floyd-Warshall), ``"scipy"`` (SciPy's C
-        implementation), ``"incremental"`` (exact, repaired from
-        ``apsp_state`` across streaming ticks), or ``"landmark"`` (opt-in
-        approximation).  APSP is the remaining bottleneck of the pipeline
-        (Fig. 5), so the faster implementations are exposed here; all but
-        ``"landmark"`` give identical distances (Floyd-Warshall up to the
-        last float ulp).
-    kernel:
-        APSP kernel for the ``"dijkstra"`` method: ``"python"`` (array-heap
-        Dijkstra per source) or ``"numpy"`` (batched relaxation), both with
-        byte-identical distances.  ``None`` uses the process-wide default.
+        ``"dijkstra"`` (the paper's per-source algorithm run as a batched
+        CSR relaxation, optionally over a thread/process backend),
+        ``"scipy"`` (SciPy's C implementation), ``"incremental"`` (exact,
+        repaired from ``apsp_state`` across streaming ticks), or
+        ``"landmark"`` (opt-in approximation).  APSP is the remaining
+        bottleneck of the pipeline (Fig. 5), so the faster implementations
+        are exposed here; all but ``"landmark"`` give byte-identical
+        distances.
     apsp_state:
         Carried :class:`~repro.graph.incremental_apsp.IncrementalAPSP`
         engine; only meaningful (and only forwarded) with
@@ -134,7 +128,7 @@ def dbht(
     start = time.perf_counter()
     distance_graph = tmfg.csr().reweighted(dissimilarity)
     shortest_paths = all_pairs_shortest_paths(
-        distance_graph, backend=backend, method=apsp_method, kernel=kernel, **apsp_options
+        distance_graph, backend=backend, method=apsp_method, **apsp_options
     )
     step_seconds["apsp"] = time.perf_counter() - start
     n = graph.num_vertices

@@ -10,13 +10,10 @@ that the best vertex never has to be recomputed by scanning every face.
 Here we keep, per face, only the current best ``(gain, vertex)`` pair plus a
 reverse index ``vertex -> faces where it is currently best``; when a batch of
 vertices is inserted, exactly the faces that pointed at them are refreshed.
-The refresh itself goes through the ``"gain_update"`` kernel registry
-(:mod:`repro.parallel.kernels`): the ``python`` kernel recomputes the
-affected faces one at a time, while the ``numpy`` kernel stacks them into a
-single ``(faces, remaining)`` gain matrix and takes one masked argmax per
-row — the per-round cost becomes a handful of numpy calls regardless of how
-many faces a batch touched.  Both kernels produce bit-identical tables.
-This preserves the paper's key property — the update work is proportional
+The refresh stacks the affected faces into a single ``(faces, remaining)``
+gain matrix and takes one argmax per row, so the per-round cost is a
+handful of numpy calls regardless of how many faces a batch touched.  This
+preserves the paper's key property — the update work is proportional
 to the number of affected faces, not to all faces — while vectorising the
 per-face scans away.
 """
@@ -28,18 +25,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.graph.faces import Triangle, VertexFacePair, triangle_corners
-from repro.parallel.kernels import get_kernel, register_kernel
 
 
 class GainTable:
     """Tracks the best remaining vertex for every active face."""
 
-    def __init__(
-        self,
-        similarity: np.ndarray,
-        remaining: Iterable[int],
-        kernel: Optional[str] = None,
-    ) -> None:
+    def __init__(self, similarity: np.ndarray, remaining: Iterable[int]) -> None:
         self._similarity = np.asarray(similarity, dtype=float)
         n = self._similarity.shape[0]
         self._remaining_mask = np.zeros(n, dtype=bool)
@@ -51,8 +42,6 @@ class GainTable:
         self._best_of: Dict[int, Set[Triangle]] = {}
         # Number of gain recomputations performed (used by the ablation bench).
         self.recompute_count = 0
-        # "python" / "numpy" bulk-update kernel; None = process-wide default.
-        self._kernel = kernel
 
     # -- queries -----------------------------------------------------------
 
@@ -158,32 +147,36 @@ class GainTable:
     # -- internals ---------------------------------------------------------
 
     def _recompute_faces(self, faces: List[Triangle]) -> None:
-        """Refresh a batch of faces through the selected gain-update kernel."""
+        """Refresh a batch of faces: one gain matrix, one argmax per face.
+
+        Builds the ``(len(faces), len(remaining))`` gain matrix with three
+        fancy gathers, ``(S[a] + S[b]) + S[c]``, and reduces it row-wise.
+        """
         if not faces:
             return
-        get_kernel("gain_update", self._kernel)(self, faces)
-
-    def _recompute(self, face: Triangle) -> None:
-        """Recompute the best remaining vertex for ``face`` with a numpy argmax."""
-        self.recompute_count += 1
-        previous = self._best.get(face)
-        if previous is not None and previous[1] is not None:
-            self._best_of.get(previous[1], set()).discard(face)
+        self.recompute_count += len(faces)
+        for face in faces:
+            previous = self._best.get(face)
+            if previous is not None and previous[1] is not None:
+                self._best_of.get(previous[1], set()).discard(face)
         remaining = np.flatnonzero(self._remaining_mask)
         if remaining.size == 0:
-            self._best[face] = (float("-inf"), None)
+            for face in faces:
+                self._best[face] = (float("-inf"), None)
             return
-        a, b, c = triangle_corners(face)
+        corners = np.array([triangle_corners(face) for face in faces], dtype=np.int64)
+        similarity = self._similarity
         gains = (
-            self._similarity[a, remaining]
-            + self._similarity[b, remaining]
-            + self._similarity[c, remaining]
+            similarity[np.ix_(corners[:, 0], remaining)]
+            + similarity[np.ix_(corners[:, 1], remaining)]
+            + similarity[np.ix_(corners[:, 2], remaining)]
         )
-        index = int(np.argmax(gains))
-        vertex = int(remaining[index])
-        gain = float(gains[index])
-        self._best[face] = (gain, vertex)
-        self._best_of.setdefault(vertex, set()).add(face)
+        best_columns = np.argmax(gains, axis=1)
+        best_vertices = remaining[best_columns]
+        best_gains = gains[np.arange(len(faces)), best_columns]
+        for face, vertex, gain in zip(faces, best_vertices.tolist(), best_gains.tolist()):
+            self._best[face] = (float(gain), int(vertex))
+            self._best_of.setdefault(int(vertex), set()).add(face)
 
 
 class RescanGainTable(GainTable):
@@ -211,51 +204,3 @@ class RescanGainTable(GainTable):
         ]
         self._recompute_faces(refreshed)
         return refreshed
-
-
-# ---------------------------------------------------------------------------
-# Gain-update kernels
-# ---------------------------------------------------------------------------
-
-
-def _gain_update_python(table: GainTable, faces: List[Triangle]) -> None:
-    """Reference kernel: recompute each affected face on its own."""
-    for face in faces:
-        table._recompute(face)
-
-
-def _gain_update_numpy(table: GainTable, faces: List[Triangle]) -> None:
-    """Bulk kernel: one gain matrix, one argmax per affected face.
-
-    Builds the ``(len(faces), len(remaining))`` gain matrix with three fancy
-    gathers and reduces it row-wise; the additions associate exactly like the
-    per-face kernel's (``(S[a] + S[b]) + S[c]``), so the resulting table is
-    bit-identical.
-    """
-    table.recompute_count += len(faces)
-    for face in faces:
-        previous = table._best.get(face)
-        if previous is not None and previous[1] is not None:
-            table._best_of.get(previous[1], set()).discard(face)
-    remaining = np.flatnonzero(table._remaining_mask)
-    if remaining.size == 0:
-        for face in faces:
-            table._best[face] = (float("-inf"), None)
-        return
-    corners = np.array([triangle_corners(face) for face in faces], dtype=np.int64)
-    similarity = table._similarity
-    gains = (
-        similarity[np.ix_(corners[:, 0], remaining)]
-        + similarity[np.ix_(corners[:, 1], remaining)]
-        + similarity[np.ix_(corners[:, 2], remaining)]
-    )
-    best_columns = np.argmax(gains, axis=1)
-    best_vertices = remaining[best_columns]
-    best_gains = gains[np.arange(len(faces)), best_columns]
-    for face, vertex, gain in zip(faces, best_vertices.tolist(), best_gains.tolist()):
-        table._best[face] = (float(gain), int(vertex))
-        table._best_of.setdefault(int(vertex), set()).add(face)
-
-
-register_kernel("gain_update", "python", _gain_update_python)
-register_kernel("gain_update", "numpy", _gain_update_numpy)

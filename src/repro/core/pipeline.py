@@ -58,7 +58,6 @@ def tmfg_dbht(
     backend: Optional[ParallelBackend] = None,
     tracker: Optional[WorkSpanTracker] = None,
     apsp_method: str = "dijkstra",
-    kernel: Optional[str] = None,
     warm_start: Optional[WarmStartHints] = None,
     apsp_state=None,
     landmarks: Optional[int] = None,
@@ -82,13 +81,9 @@ def tmfg_dbht(
         Optional :class:`WorkSpanTracker` collecting work/span per phase.
     apsp_method:
         APSP implementation used by the DBHT: any registered method id
-        (``"dijkstra"`` default, ``"floyd"``, ``"scipy"``,
-        ``"incremental"``, ``"landmark"``); see
+        (``"dijkstra"`` default, ``"scipy"``, ``"incremental"``,
+        ``"landmark"``); see
         :func:`repro.graph.shortest_paths.all_pairs_shortest_paths`.
-    kernel:
-        ``"python"`` or ``"numpy"`` hot-loop kernels for the gain updates
-        and the APSP (see :mod:`repro.parallel.kernels`); ``None`` uses the
-        process-wide default.  All kernels produce identical results.
     warm_start:
         Optional :class:`~repro.core.tmfg.WarmStartHints` from a previous
         build on a similar matrix (the streaming workload's previous tick).
@@ -120,7 +115,6 @@ def tmfg_dbht(
         build_bubble_tree=True,
         tracker=tracker,
         backend=backend,
-        kernel=kernel,
         warm_start=warm_start,
     )
     tmfg_seconds = time.perf_counter() - start
@@ -132,7 +126,6 @@ def tmfg_dbht(
         tracker=tracker,
         backend=backend,
         apsp_method=apsp_method,
-        kernel=kernel,
         apsp_state=apsp_state,
         landmarks=landmarks,
     )

@@ -138,7 +138,6 @@ class _TMFGBuilder:
         similarity: np.ndarray,
         clique: Sequence[int],
         build_bubble_tree: bool,
-        kernel: Optional[str],
         tracker: WorkSpanTracker,
     ) -> None:
         n = similarity.shape[0]
@@ -161,7 +160,7 @@ class _TMFGBuilder:
         }
         self.outer_face: Triangle = triangle_key(v1, v2, v3)
         remaining = [v for v in range(n) if v not in set(self.clique)]
-        self.gain_table = GainTable(similarity, remaining, kernel=kernel)
+        self.gain_table = GainTable(similarity, remaining)
         self.gain_table.add_faces(list(self.faces))
         # Initialisation: O(n^2) work for the row sums, O(n) for the gains.
         tracker.add(
@@ -233,7 +232,6 @@ def construct_tmfg(
     build_bubble_tree: bool = True,
     tracker: Optional[WorkSpanTracker] = None,
     backend: Optional[ParallelBackend] = None,
-    kernel: Optional[str] = None,
     warm_start: Optional[WarmStartHints] = None,
 ) -> TMFGResult:
     """Build a TMFG (or its prefix-batched variant) from a similarity matrix.
@@ -254,10 +252,6 @@ def construct_tmfg(
     backend:
         Reserved for the thread-pool backend; per-round insertions are
         independent and can be dispatched through it.
-    kernel:
-        Gain-update kernel (``"python"`` per-face loop or ``"numpy"`` bulk
-        matrix argmax; see :mod:`repro.parallel.kernels`).  ``None`` uses
-        the process-wide default.  Both produce identical graphs.
     warm_start:
         Optional :class:`WarmStartHints` from a previous build on a similar
         matrix.  Every replayed round is verified against the gain table —
@@ -282,7 +276,7 @@ def construct_tmfg(
 
     fast_select = warm_start is not None and prefix == 1
     hint_batches = _usable_hint_batches(warm_start, clique, n, prefix)
-    builder = _TMFGBuilder(similarity, clique, build_bubble_tree, kernel, tracker)
+    builder = _TMFGBuilder(similarity, clique, build_bubble_tree, tracker)
     warm_rounds = 0
     while builder.gain_table.num_remaining > 0:
         expected: Optional[Tuple[Tuple[int, Triangle], ...]] = None

@@ -93,7 +93,6 @@ def run_method(
     seed: int = 0,
     compute_ami: bool = False,
     spectral_neighbors: int = 10,
-    kernel: Optional[str] = None,
     backend: Optional[object] = None,
     stream_window: Optional[int] = None,
     stream_hop: Optional[int] = None,
@@ -101,10 +100,7 @@ def run_method(
     """Run ``method`` on ``dataset`` and evaluate against its labels.
 
     ``num_clusters`` defaults to the number of ground-truth classes, which
-    is how the paper cuts every dendrogram.  ``kernel`` is the single switch
-    between the ``"python"`` and ``"numpy"`` hot-loop kernels of the
-    TMFG/DBHT pipelines (identical results; see
-    :mod:`repro.parallel.kernels`); ``backend`` is a
+    is how the paper cuts every dendrogram.  ``backend`` is a
     :class:`~repro.parallel.scheduler.ParallelBackend` instance or name
     (``"serial"``/``"thread"``/``"process"``) used for the parallelisable
     phases.
@@ -143,7 +139,6 @@ def run_method(
             num_clusters=num_clusters,
             prefix=prefix,
             warm_start=warm,
-            kernel=kernel,
             backend=backend_name,
         )
         pipeline = StreamingPipeline(
@@ -203,7 +198,6 @@ def run_method(
             method=method_id,
             num_clusters=num_clusters,
             prefix=prefix,
-            kernel=kernel,
             backend=backend_name,
             seed=seed,
             spectral_neighbors=spectral_neighbors,

@@ -30,12 +30,13 @@ two sound per-edge tests against the current matrix ``D``:
   by construction) avoids the edge, so the minimum is unaffected.
 
 Unaffected rows are reused as-is; affected rows are recomputed with the
-registered cold kernels (:mod:`repro.parallel.kernels`) on the new graph,
-chunked over the same :class:`~repro.parallel.scheduler.ParallelBackend` as
-a cold run.  When the delta is large (a cold start, a reshaped universe, or
-more than ``rebuild_edge_fraction`` of the edges changed) the engine skips
-the tests and recomputes everything — it degrades to exactly one cold APSP
-plus an O(m) diff, never worse.
+cold batched relaxation (:mod:`repro.graph.shortest_paths`) on the new
+graph, chunked over the same
+:class:`~repro.parallel.scheduler.ParallelBackend` as a cold run.  When the
+delta is large (a cold start, a reshaped universe, or more than
+``rebuild_edge_fraction`` of the edges changed) the engine skips the tests
+and recomputes everything — it degrades to exactly one cold APSP plus an
+O(m) diff, never worse.
 
 The dispatcher exposes this as ``apsp_method="incremental"`` (see
 :func:`repro.graph.shortest_paths.all_pairs_shortest_paths`); the streaming
@@ -222,17 +223,12 @@ class IncrementalAPSP:
         self._csr = None
         self._distances = None
 
-    def update(
-        self,
-        graph: GraphLike,
-        backend=None,
-        kernel: Optional[str] = None,
-    ) -> np.ndarray:
+    def update(self, graph: GraphLike, backend=None) -> np.ndarray:
         """Distances of ``graph``, repaired from the previous update's state.
 
         Byte-identical to ``all_pairs_shortest_paths(graph,
-        method="dijkstra", kernel=kernel)`` on every call; only the cost
-        depends on how much changed since the last one.
+        method="dijkstra")`` on every call; only the cost depends on how
+        much changed since the last one.
         """
         from repro.graph.shortest_paths import shortest_paths_from_sources
 
@@ -243,7 +239,7 @@ class IncrementalAPSP:
 
         previous = self._csr
         if previous is None or previous.num_vertices != n:
-            return self._full_rebuild(csr, backend, kernel)
+            return self._full_rebuild(csr, backend)
 
         num_edges = max(previous.num_edges, csr.num_edges, 1)
         delta = _diff_graphs(previous, csr)
@@ -255,19 +251,17 @@ class IncrementalAPSP:
         self.stats.changed_edges += delta.num_changed
         self.stats.last_changed_edges = delta.num_changed
         if delta.num_changed > self.rebuild_edge_fraction * num_edges:
-            return self._full_rebuild(csr, backend, kernel)
+            return self._full_rebuild(csr, backend)
 
         affected = _affected_sources(self._distances, delta)
         num_affected = int(affected.sum())
         if num_affected > self.rebuild_row_fraction * n:
-            return self._full_rebuild(csr, backend, kernel)
+            return self._full_rebuild(csr, backend)
 
         repaired = self._distances.copy()
         if num_affected:
             sources = np.flatnonzero(affected)
-            repaired[sources] = shortest_paths_from_sources(
-                csr, sources, backend=backend, kernel=kernel
-            )
+            repaired[sources] = shortest_paths_from_sources(csr, sources, backend=backend)
         self.stats.recomputed_rows += num_affected
         self.stats.reused_rows += n - num_affected
         self.stats.last_recomputed_rows = num_affected
@@ -275,14 +269,12 @@ class IncrementalAPSP:
         self._distances = repaired
         return repaired
 
-    def _full_rebuild(self, csr: CSRGraph, backend, kernel: Optional[str]) -> np.ndarray:
+    def _full_rebuild(self, csr: CSRGraph, backend) -> np.ndarray:
         from repro.graph.shortest_paths import all_pairs_shortest_paths
 
         self.stats.full_rebuilds += 1
         self.stats.recomputed_rows += csr.num_vertices
         self.stats.last_recomputed_rows = csr.num_vertices
         self._csr = csr
-        self._distances = all_pairs_shortest_paths(
-            csr, backend=backend, method="dijkstra", kernel=kernel
-        )
+        self._distances = all_pairs_shortest_paths(csr, backend=backend, method="dijkstra")
         return self._distances

@@ -7,20 +7,14 @@ work, matching what the paper's implementation does.  Each single-source
 computation is independent, which is where the paper gets its parallelism.
 
 The computation runs on the frozen CSR form of the graph
-(:class:`~repro.graph.csr.CSRGraph`) through one of two registered kernels
-(see :mod:`repro.parallel.kernels`):
-
-* ``"python"`` — an array-heap Dijkstra per source.  Same relaxation order
-  and float arithmetic as the adjacency-list reference implementation
-  (:func:`dijkstra`), so the distances are byte-identical, but it runs on
-  flat typed arrays instead of per-edge Python tuples.
-* ``"numpy"`` — a batched Bellman-Ford-style relaxation: all sources of a
-  chunk advance one hop per round via a single gather
-  (``dist[:, indices] + weights``) and one segmented min
-  (``np.minimum.reduceat``).  Because the CSR graph is symmetric, row ``v``
-  is exactly the set of in-arcs of ``v``, so the CSR arrays double as the
-  relaxation's group index.  Converges in hop-diameter rounds, which is
-  small on filtered graphs.
+(:class:`~repro.graph.csr.CSRGraph`) as a batched Bellman-Ford-style
+relaxation: all sources of a chunk advance one hop per round via a single
+gather (``dist[:, indices] + weights``) and one segmented min
+(``np.minimum.reduceat``).  Because the CSR graph is symmetric, row ``v`` is
+exactly the set of in-arcs of ``v``, so the CSR arrays double as the
+relaxation's group index.  Converges in hop-diameter rounds, which is small
+on filtered graphs, and every distance is byte-identical to the
+adjacency-list reference :func:`dijkstra`.
 
 Sources are chunked over a :class:`~repro.parallel.scheduler.ParallelBackend`;
 the chunk worker is a module-level function over picklable CSR arrays, so
@@ -40,7 +34,6 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.graph.weighted_graph import WeightedGraph
 from repro.obs.tracer import trace_span
-from repro.parallel.kernels import get_kernel, register_kernel, resolve_kernel_name
 from repro.parallel.scheduler import ParallelBackend, get_backend, make_backend
 
 GraphLike = Union[WeightedGraph, CSRGraph]
@@ -48,7 +41,7 @@ GraphLike = Union[WeightedGraph, CSRGraph]
 #: Landmark count used by ``apsp_method="landmark"`` when none is configured.
 DEFAULT_LANDMARKS = 32
 
-#: Sources relaxed together by the numpy kernel.  The round's working set is
+#: Sources relaxed together by the relaxation kernel.  The round's working set is
 #: ``arcs x block`` floats; a narrow block keeps it inside the CPU cache,
 #: which dominates the kernel's throughput (wider blocks are memory-bound).
 _RELAX_BLOCK_SOURCES = 16
@@ -64,14 +57,14 @@ def dijkstra(graph: GraphLike, source: int) -> np.ndarray:
     Edge weights must be non-negative (validated up front, before any
     traversal work).  Unreachable vertices get ``inf``.  For a
     :class:`WeightedGraph` this is the adjacency-list reference
-    implementation; a :class:`CSRGraph` takes the array-heap fast path.
+    implementation; a :class:`CSRGraph` runs the batched relaxation.
     """
     n = graph.num_vertices
     if not 0 <= source < n:
         raise IndexError(f"source {source} out of range [0, {n})")
     if isinstance(graph, CSRGraph):
         graph.validate_non_negative()
-        return _apsp_python(graph.indptr, graph.indices, graph.weights, [source])[0]
+        return _relax_sources(graph.indptr, graph.indices, graph.weights, [source])[0]
     if graph.has_negative_weights():
         raise ValueError("Dijkstra requires non-negative edge weights")
     distances = np.full(n, np.inf, dtype=float)
@@ -93,7 +86,7 @@ def dijkstra(graph: GraphLike, source: int) -> np.ndarray:
 
 #: Registered APSP implementations, keyed by the ``method`` string callers
 #: (and ``ClusteringConfig.apsp_method``) select with.  Each entry is called
-#: as ``fn(graph, backend=..., kernel=..., **options)`` and returns the
+#: as ``fn(graph, backend=..., **options)`` and returns the
 #: ``n x n`` distance matrix.
 _APSP_DISPATCH: Dict[str, Callable[..., np.ndarray]] = {}
 
@@ -125,7 +118,6 @@ def all_pairs_shortest_paths(
     graph: GraphLike,
     backend: Optional[Union[ParallelBackend, str]] = None,
     method: str = "dijkstra",
-    kernel: Optional[str] = None,
     **options,
 ) -> np.ndarray:
     """All-pairs shortest path distance matrix of a sparse graph.
@@ -133,20 +125,14 @@ def all_pairs_shortest_paths(
     ``method`` selects the algorithm from the registry
     (:func:`register_apsp_method`); the built-ins:
 
-    * ``"dijkstra"`` (default) — one Dijkstra per source, the algorithm the
-      paper's implementation uses, run as batched CSR kernels with the
-      sources chunked over the backend.  ``kernel`` picks the
-      implementation (``"python"``/``"numpy"``, default the registry's
-      process-wide default; both produce identical distances).
-    * ``"floyd"`` — a vectorised Floyd-Warshall on the dense matrix.  O(n^3)
-      work but only ``n`` numpy operations, which wins for small ``n``;
-      distances may differ from Dijkstra's in the last float ulp because
-      path sums associate differently.
-    * ``"scipy"`` — SciPy's C implementation
-      (``scipy.sparse.csgraph.shortest_path``).  The paper notes that APSP
-      becomes the bottleneck of PAR-TDBHT and that a faster APSP would
-      directly improve the end-to-end time; this quantifies that head-room
-      (see ``benchmarks/bench_apsp_backends.py``).
+    * ``"dijkstra"`` (default) — exact single-source distances from every
+      source, the algorithm the paper's implementation uses, run as the
+      batched CSR relaxation with the sources chunked over the backend.
+    * ``"scipy"`` — SciPy's C Dijkstra
+      (``scipy.sparse.csgraph.shortest_path``), byte-identical to
+      ``"dijkstra"`` and faster, but importing ``scipy.sparse.csgraph``
+      costs tens of MB of resident memory, so it is opt-in (see
+      ``benchmarks/bench_apsp_backends.py``).
     * ``"incremental"`` — exact distances repaired from a carried
       :class:`~repro.graph.incremental_apsp.IncrementalAPSP` engine passed
       as ``state=``; byte-identical to ``"dijkstra"`` on every call, cheap
@@ -168,32 +154,28 @@ def all_pairs_shortest_paths(
         raise ValueError(
             f"unknown APSP method {method!r}; expected one of: {valid}"
         ) from None
-    with trace_span("kernel.apsp", method=method, n=int(n)) as probe:
-        if kernel is not None:
-            probe.set_attribute("kernel", kernel)
-        return fn(graph, backend=backend, kernel=kernel, **options)
+    with trace_span("kernel.apsp", method=method, n=int(n)):
+        return fn(graph, backend=backend, **options)
 
 
 def shortest_paths_from_sources(
     graph: GraphLike,
     sources: Sequence[int],
     backend: Optional[Union[ParallelBackend, str]] = None,
-    kernel: Optional[str] = None,
 ) -> np.ndarray:
     """Distances from a subset of sources (one row per source, in order)."""
     source_array = np.asarray(list(sources), dtype=np.int64)
     if source_array.size == 0:
         return np.zeros((0, graph.num_vertices))
-    return _batched_sssp(_as_csr(graph), source_array, backend, kernel)
+    return _batched_sssp(_as_csr(graph), source_array, backend)
 
 
 def _batched_sssp(
     csr: CSRGraph,
     sources: np.ndarray,
     backend: Optional[Union[ParallelBackend, str]],
-    kernel: Optional[str],
 ) -> np.ndarray:
-    """Chunk ``sources`` over the backend and run the selected kernel."""
+    """Chunk ``sources`` over the backend and relax each chunk."""
     csr.validate_non_negative()
     if sources.size and (
         int(sources.min()) < 0 or int(sources.max()) >= csr.num_vertices
@@ -202,7 +184,6 @@ def _batched_sssp(
             f"source out of range [0, {csr.num_vertices}): "
             f"{[int(s) for s in sources if not 0 <= s < csr.num_vertices]}"
         )
-    kernel_name = resolve_kernel_name(kernel, "apsp")
     # A backend given by name is constructed here and therefore owned (and
     # closed) here; instances stay under the caller's control.
     owns_backend = isinstance(backend, str)
@@ -210,76 +191,28 @@ def _batched_sssp(
     try:
         num_chunks = min(len(sources), max(1, resolved.num_workers))
         chunks = np.array_split(sources, num_chunks)
-        worker = partial(_sssp_chunk, csr.indptr, csr.indices, csr.weights, kernel_name)
+        worker = partial(_relax_sources, csr.indptr, csr.indices, csr.weights)
         return np.vstack(resolved.map(worker, chunks))
     finally:
         if owns_backend:
             resolved.close()
 
 
-def _sssp_chunk(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    kernel_name: str,
-    sources: np.ndarray,
-) -> np.ndarray:
-    """Module-level chunk worker: picklable for the process backend."""
-    return get_kernel("apsp", kernel_name)(indptr, indices, weights, sources)
-
-
 # ---------------------------------------------------------------------------
-# Kernels
+# Relaxation kernel
 # ---------------------------------------------------------------------------
 
 
-def _apsp_python(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    sources: Sequence[int],
-) -> np.ndarray:
-    """Array-heap Dijkstra per source.
-
-    The CSR arrays are lowered to Python lists once per chunk so the inner
-    relaxation loop touches no numpy scalars (which dominate the cost of the
-    naive per-edge loop).
-    """
-    n = indptr.size - 1
-    rows = np.full((len(sources), n), np.inf, dtype=float)
-    starts = indptr.tolist()
-    neighbor_list = indices.tolist()
-    weight_list = weights.tolist()
-    inf = float("inf")
-    for row_index, source in enumerate(sources):
-        source = int(source)
-        distances = [inf] * n
-        distances[source] = 0.0
-        visited = [False] * n
-        heap = [(0.0, source)]
-        push, pop = heapq.heappush, heapq.heappop
-        while heap:
-            dist_u, u = pop(heap)
-            if visited[u]:
-                continue
-            visited[u] = True
-            for arc in range(starts[u], starts[u + 1]):
-                v = neighbor_list[arc]
-                candidate = dist_u + weight_list[arc]
-                if candidate < distances[v]:
-                    distances[v] = candidate
-                    push(heap, (candidate, v))
-        rows[row_index] = distances
-    return rows
-
-
-def _apsp_numpy(
+def _relax_sources(
     indptr: np.ndarray,
     indices: np.ndarray,
     weights: np.ndarray,
     sources: Sequence[int],
 ) -> np.ndarray:
     """Batched relaxation: every source advances one hop per numpy round.
+
+    A module-level function over plain arrays, so it pickles into
+    process-pool workers as the per-chunk worker.
 
     Distances are kept transposed (vertices x sources) so the per-round
     gather ``dist[indices]`` reads contiguous rows, and the in-arc segments
@@ -323,30 +256,14 @@ def _apsp_numpy(
     return dist
 
 
-register_kernel("apsp", "python", _apsp_python)
-register_kernel("apsp", "numpy", _apsp_numpy)
-
-
-def _floyd_warshall(csr: CSRGraph) -> np.ndarray:
-    """Vectorised Floyd-Warshall on the dense matrix (small-``n`` fallback)."""
-    dist = csr.to_dense(fill=np.inf)
-    for k in range(csr.num_vertices):
-        np.minimum(dist, np.add.outer(dist[:, k], dist[k, :]), out=dist)
-    return dist
-
-
 def _scipy_apsp(graph: GraphLike) -> np.ndarray:
     """APSP via scipy.sparse.csgraph (identical distances, C speed)."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
     n = graph.num_vertices
-    # csgraph treats stored zeros as missing edges; clamp to a tiny
-    # positive value so zero-dissimilarity edges stay in the graph.
     csr = _as_csr(graph)
-    sparse = csr_matrix(
-        (np.maximum(csr.weights, 1e-12), csr.indices, csr.indptr), shape=(n, n)
-    )
+    sparse = csr_matrix((csr.weights, csr.indices, csr.indptr), shape=(n, n))
     return shortest_path(sparse, method="D", directed=False)
 
 
@@ -355,27 +272,21 @@ def _scipy_apsp(graph: GraphLike) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _dijkstra_apsp(graph: GraphLike, backend=None, kernel=None) -> np.ndarray:
+def _dijkstra_apsp(graph: GraphLike, backend=None) -> np.ndarray:
     csr = _as_csr(graph)
-    return _batched_sssp(csr, np.arange(csr.num_vertices), backend, kernel)
+    return _batched_sssp(csr, np.arange(csr.num_vertices), backend)
 
 
-def _floyd_apsp(graph: GraphLike, backend=None, kernel=None) -> np.ndarray:
-    csr = _as_csr(graph)
-    csr.validate_non_negative()
-    return _floyd_warshall(csr)
-
-
-def _scipy_apsp_method(graph: GraphLike, backend=None, kernel=None) -> np.ndarray:
+def _scipy_apsp_method(graph: GraphLike, backend=None) -> np.ndarray:
     return _scipy_apsp(graph)
 
 
 def _incremental_apsp_method(
-    graph: GraphLike, backend=None, kernel=None, state=None
+    graph: GraphLike, backend=None, state=None
 ) -> np.ndarray:
     """Exact APSP repaired from a carried engine (cold dijkstra without one)."""
     if state is None:
-        return _dijkstra_apsp(graph, backend=backend, kernel=kernel)
+        return _dijkstra_apsp(graph, backend=backend)
     from repro.graph.incremental_apsp import IncrementalAPSP
 
     if not isinstance(state, IncrementalAPSP):
@@ -383,12 +294,10 @@ def _incremental_apsp_method(
             "state for apsp_method='incremental' must be an IncrementalAPSP "
             f"engine, got {type(state).__name__}"
         )
-    return state.update(graph, backend=backend, kernel=kernel)
+    return state.update(graph, backend=backend)
 
 
-def select_landmarks(
-    graph: GraphLike, count: int, kernel: Optional[str] = None
-) -> tuple:
+def select_landmarks(graph: GraphLike, count: int) -> tuple:
     """Deterministic farthest-point landmark selection.
 
     Returns ``(landmark ids, their exact SSSP rows)``.  The first landmark
@@ -405,10 +314,8 @@ def select_landmarks(
     if count < 1:
         raise ValueError(f"landmark count must be >= 1, got {count}")
     count = min(count, n)
-    kernel_name = resolve_kernel_name(kernel, "apsp")
-    sssp = get_kernel("apsp", kernel_name)
     chosen = [int(np.argmax(csr.degrees()))]
-    rows = [sssp(csr.indptr, csr.indices, csr.weights, [chosen[0]])[0]]
+    rows = [_relax_sources(csr.indptr, csr.indices, csr.weights, chosen)[0]]
     nearest = rows[0].copy()
     while len(chosen) < count:
         nearest[chosen] = -np.inf
@@ -416,14 +323,14 @@ def select_landmarks(
         # giving every component a landmark before refining within one.
         pivot = int(np.argmax(nearest))
         chosen.append(pivot)
-        row = sssp(csr.indptr, csr.indices, csr.weights, [pivot])[0]
+        row = _relax_sources(csr.indptr, csr.indices, csr.weights, [pivot])[0]
         rows.append(row)
         np.minimum(nearest, row, out=nearest)
     return tuple(chosen), np.vstack(rows)
 
 
 def _landmark_apsp(
-    graph: GraphLike, backend=None, kernel=None, landmarks: Optional[int] = None
+    graph: GraphLike, backend=None, landmarks: Optional[int] = None
 ) -> np.ndarray:
     """Approximate APSP from ``landmarks`` exact SSSP rows (opt-in only).
 
@@ -441,8 +348,8 @@ def _landmark_apsp(
     if count < 1:
         raise ValueError(f"landmark count must be >= 1, got {count}")
     if count >= n:
-        return _dijkstra_apsp(csr, backend=backend, kernel=kernel)
-    _, rows = select_landmarks(csr, count, kernel=kernel)
+        return _dijkstra_apsp(csr, backend=backend)
+    _, rows = select_landmarks(csr, count)
     estimate = np.full((n, n), np.inf, dtype=float)
     for row in rows:
         np.minimum(estimate, np.add.outer(row, row), out=estimate)
@@ -454,7 +361,6 @@ def _landmark_apsp(
 
 
 register_apsp_method("dijkstra", _dijkstra_apsp)
-register_apsp_method("floyd", _floyd_apsp)
 register_apsp_method("scipy", _scipy_apsp_method)
 register_apsp_method("incremental", _incremental_apsp_method)
 register_apsp_method("landmark", _landmark_apsp)

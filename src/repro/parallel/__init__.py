@@ -5,10 +5,10 @@ shared-memory machine.  Pure Python cannot exploit fine-grained shared-memory
 parallelism because of the GIL, so this package provides two complementary
 substitutes:
 
-* the paper's parallel primitives (Table I) — ``parallel_filter``,
-  ``parallel_sort``, ``parallel_max``, and the priority concurrent writes
-  ``WriteMin``/``WriteMax``/``WriteAdd`` — implemented with correct
-  semantics, optionally executed over a thread pool for coarse-grained work;
+* the paper's priority concurrent writes (Table I)
+  ``WriteMin``/``WriteMax``/``WriteAdd``, and serial/thread/process
+  backends (:mod:`repro.parallel.scheduler`) that coarse-grained work such
+  as the APSP source chunks is mapped over;
 * a work–span cost model (:mod:`repro.parallel.cost_model`) that records the
   work and span of each algorithm phase and predicts the running time on
   ``P`` processors as ``W / P + c * S``, which is how the scalability
@@ -17,21 +17,6 @@ substitutes:
 
 from repro.parallel.atomics import WriteAdd, WriteMax, WriteMin
 from repro.parallel.cost_model import PhaseCost, WorkSpanTracker, predicted_speedup
-from repro.parallel.kernels import (
-    available_kernels,
-    default_kernel,
-    get_kernel,
-    kernel_scope,
-    register_kernel,
-    set_default_kernel,
-)
-from repro.parallel.primitives import (
-    parallel_filter,
-    parallel_for,
-    parallel_map,
-    parallel_max,
-    parallel_sort,
-)
 from repro.parallel.scheduler import (
     ParallelBackend,
     ProcessBackend,
@@ -49,17 +34,6 @@ __all__ = [
     "PhaseCost",
     "WorkSpanTracker",
     "predicted_speedup",
-    "available_kernels",
-    "default_kernel",
-    "get_kernel",
-    "kernel_scope",
-    "register_kernel",
-    "set_default_kernel",
-    "parallel_filter",
-    "parallel_for",
-    "parallel_map",
-    "parallel_max",
-    "parallel_sort",
     "ParallelBackend",
     "ProcessBackend",
     "SerialBackend",

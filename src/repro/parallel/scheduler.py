@@ -1,4 +1,4 @@
-"""Execution backends for the parallel primitives.
+"""Execution backends for the parallelisable phases.
 
 The algorithms in :mod:`repro.core` are written against an abstract
 ``ParallelBackend`` so that the same code can run

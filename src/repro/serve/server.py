@@ -100,7 +100,6 @@ REQUEST_CONFIG_FIELDS = frozenset(
         "prefix",
         "apsp_method",
         "landmarks",
-        "kernel",
         "warm_start",
         "precomputed",
         "linkage",

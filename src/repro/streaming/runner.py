@@ -8,7 +8,7 @@ a return stream in steps of ``hop``, and per tick
    recomputation),
 2. fits a :class:`~repro.api.estimators.TMFGClusterer` (driven by one
    :class:`~repro.api.config.ClusteringConfig`) on the window's similarity
-   matrix through the existing kernel registry and
+   matrix through the configured
    :class:`~repro.parallel.scheduler.ParallelBackend`, warm-starting the
    TMFG from the previous tick's decisions
    (:class:`~repro.streaming.warm_start.TMFGWarmStarter`), and
@@ -184,7 +184,7 @@ class StreamingPipeline:
         scratch and the TMFG builds without hints.  Cuts agree up to the
         incremental update's float rounding (~1e-12 on the correlations);
         only the wall-clock differs (see ``benchmarks/bench_streaming.py``).
-    kernel / backend / apsp_method:
+    backend / apsp_method:
         Forwarded to the per-tick pipeline run.
     max_ticks:
         Optional cap on the number of ticks to run.
@@ -192,8 +192,8 @@ class StreamingPipeline:
         Forwarded to :class:`RollingCorrelation` (drift-guard cadence).
     config:
         Optional :class:`~repro.api.config.ClusteringConfig` supplying
-        ``num_clusters``/``prefix``/``warm_start``/``kernel``/
-        ``apsp_method`` in one serializable object (the CLI's path).  When
+        ``num_clusters``/``prefix``/``warm_start``/``apsp_method``
+        in one serializable object (the CLI's path).  When
         given, those individual keyword arguments are ignored; ``backend``
         (a live pool) is still passed separately.
     """
@@ -206,7 +206,6 @@ class StreamingPipeline:
         num_clusters: int = 4,
         prefix: int = 1,
         warm_start: bool = True,
-        kernel: Optional[str] = None,
         backend: Optional[ParallelBackend] = None,
         apsp_method: str = "dijkstra",
         max_ticks: Optional[int] = None,
@@ -233,7 +232,6 @@ class StreamingPipeline:
                 num_clusters=num_clusters,
                 prefix=prefix,
                 warm_start=warm_start,
-                kernel=kernel,
                 apsp_method=apsp_method,
             )
         # Ticks cluster the window's correlation matrix directly.
@@ -260,10 +258,6 @@ class StreamingPipeline:
     @property
     def warm(self) -> bool:
         return self.config.warm_start
-
-    @property
-    def kernel(self) -> Optional[str]:
-        return self.config.kernel
 
     @property
     def apsp_method(self) -> str:

@@ -8,6 +8,8 @@ import pytest
 from repro.core.tmfg import construct_tmfg
 from repro.datasets.similarity import similarity_and_dissimilarity
 from repro.datasets.synthetic import make_time_series_dataset
+from repro.graph.csr import CSRGraph
+from repro.graph.shortest_paths import dijkstra
 from repro.parallel.scheduler import ProcessBackend
 
 
@@ -84,6 +86,13 @@ def random_similarity_matrix(n: int, seed: int = 0) -> np.ndarray:
     symmetric = (raw + raw.T) / 2.0
     np.fill_diagonal(symmetric, 1.0)
     return symmetric
+
+
+def reference_apsp(graph) -> np.ndarray:
+    """APSP by the adjacency-list reference Dijkstra, one source at a time."""
+    if isinstance(graph, CSRGraph):
+        graph = graph.to_weighted_graph()
+    return np.vstack([dijkstra(graph, s) for s in range(graph.num_vertices)])
 
 
 @pytest.fixture

@@ -38,7 +38,7 @@ class TestClusteringConfig:
             {"prefix": 0},
             {"num_clusters": 0},
             {"apsp_method": "bellman-ford"},
-            {"kernel": "fortran"},
+            {"apsp_method": "floyd"},  # removed; dijkstra/scipy cover exact APSP
             {"backend": "mpi"},
             {"workers": 2},  # workers without a parallel backend
             {"backend": "thread", "workers": 0},
@@ -62,7 +62,7 @@ class TestClusteringConfig:
             ClusteringConfig(apsp_method="my-custom-apsp")
         for name in ("dijkstra", "incremental", "landmark"):
             assert name in str(excinfo.value)
-        register_apsp_method("my-custom-apsp", lambda g, backend=None, kernel=None: None)
+        register_apsp_method("my-custom-apsp", lambda g, backend=None: None)
         try:
             assert ClusteringConfig(apsp_method="my-custom-apsp").apsp_method == (
                 "my-custom-apsp"
@@ -91,8 +91,7 @@ class TestClusteringConfig:
             method="hac",
             num_clusters=5,
             prefix=12,
-            apsp_method="floyd",
-            kernel="python",
+            apsp_method="scipy",
             backend="thread",
             workers=3,
             warm_start=True,
@@ -105,7 +104,7 @@ class TestClusteringConfig:
         assert ClusteringConfig.from_dict(config.to_dict()) == config
 
     def test_json_round_trip_is_lossless(self):
-        config = ClusteringConfig(prefix=3, kernel="numpy", num_clusters=4)
+        config = ClusteringConfig(prefix=3, apsp_method="scipy", num_clusters=4)
         restored = ClusteringConfig.from_json(config.to_json())
         assert restored == config
         # and the JSON itself is plain data
@@ -115,6 +114,12 @@ class TestClusteringConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown ClusteringConfig keys"):
             ClusteringConfig.from_dict({"prefix": 2, "warp_drive": True})
+
+    def test_saved_config_with_removed_kernel_key_names_it(self):
+        """Configs saved before the ``kernel`` knob was removed fail loudly."""
+        assert "kernel" not in ClusteringConfig().to_dict()
+        with pytest.raises(ValueError, match=r"\['kernel'\]"):
+            ClusteringConfig.from_json('{"prefix": 2, "kernel": "numpy"}')
 
     def test_merged_overlays_partial_payload(self):
         base = ClusteringConfig(prefix=10, warm_start=True)

@@ -94,7 +94,6 @@ class TestFingerprints:
         """
         configs = [
             _config(),
-            _config(apsp_method="floyd"),
             _config(apsp_method="scipy"),
             _config(apsp_method="incremental"),
             _config(apsp_method="landmark"),
@@ -633,7 +632,6 @@ class TestFingerprintFieldAccounting:
             "prefix": 3,
             "apsp_method": "landmark",
             "landmarks": 16,
-            "kernel": "csr",
             "backend": "thread",
             "workers": 2,
             "warm_start": True,

@@ -82,7 +82,7 @@ class TestVersionFlag:
 
 
 class TestKernelAndBackendFlags:
-    def test_cluster_with_kernel_and_thread_backend(self, data_csv, tmp_path):
+    def test_cluster_with_thread_backend(self, data_csv, tmp_path):
         path, _ = data_csv
         out = tmp_path / "labels.txt"
         exit_code = main(
@@ -91,8 +91,6 @@ class TestKernelAndBackendFlags:
                 str(path),
                 "--clusters",
                 "3",
-                "--kernel",
-                "python",
                 "--backend",
                 "thread",
                 "--workers",
@@ -104,10 +102,14 @@ class TestKernelAndBackendFlags:
         assert exit_code == 0
         assert np.loadtxt(out, dtype=int).shape == (30,)
 
-    def test_unknown_kernel_rejected(self, data_csv):
+    def test_unknown_kernel_rejected(self, data_csv, capsys):
+        # The --kernel flag was removed with the kernel knob; every value,
+        # the former default included, is an unrecognised argument now.
         path, _ = data_csv
-        with pytest.raises(SystemExit):
-            main(["cluster", str(path), "--clusters", "2", "--kernel", "fortran"])
+        for value in ("fortran", "numpy"):
+            with pytest.raises(SystemExit):
+                main(["cluster", str(path), "--clusters", "2", "--kernel", value])
+            assert "unrecognized arguments: --kernel" in capsys.readouterr().err
 
     def test_workers_without_parallel_backend_rejected(self, data_csv, capsys):
         path, _ = data_csv
@@ -395,7 +397,7 @@ class TestStreamCommand:
             payload["mean_step_seconds"]
         )
 
-    def test_cold_mode_with_kernel_and_max_ticks(self, returns_csv, capsys):
+    def test_cold_mode_with_max_ticks(self, returns_csv, capsys):
         path, _ = returns_csv
         exit_code = main(
             [
@@ -408,8 +410,6 @@ class TestStreamCommand:
                 "--hop",
                 "10",
                 "--cold",
-                "--kernel",
-                "python",
                 "--max-ticks",
                 "2",
             ]

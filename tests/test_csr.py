@@ -1,13 +1,16 @@
 """Property tests: the CSR engine is a drop-in for the adjacency-list path.
 
 The refactor's contract is exact equivalence, not approximate: APSP
-distances from the CSR kernels must be *byte-identical* to the
-adjacency-list reference Dijkstra, TMFG construction must produce the same
-edge sets under either gain-update kernel, and the full ``tmfg_dbht``
-pipeline must yield identical labels and dendrogram heights either way.
+distances from the CSR relaxation (and every other exact APSP method) must
+be *byte-identical* to the adjacency-list reference Dijkstra, TMFG
+construction must insert exactly the pairs a brute-force replay of
+Algorithm 1 selects, and the full ``tmfg_dbht`` pipeline must yield
+identical labels and dendrogram heights on every exact APSP path.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,12 +18,16 @@ import pytest
 from repro.core.pipeline import tmfg_dbht
 from repro.core.tmfg import construct_tmfg
 from repro.graph.csr import CSRGraph
+from repro.graph.faces import VertexFacePair, child_faces, triangle_corners, triangle_key
+from repro.graph.incremental_apsp import IncrementalAPSP
 from repro.graph.shortest_paths import all_pairs_shortest_paths, dijkstra
 from repro.graph.weighted_graph import WeightedGraph
-from repro.parallel.kernels import available_kernels, kernel_scope
 from repro.parallel.scheduler import ProcessBackend, ThreadBackend
+from tests.conftest import reference_apsp
+from tests.test_gains import brute_force_best
 
 SEEDS = [0, 1, 2, 3, 4]
+EXACT_METHODS = ("dijkstra", "scipy", "incremental")
 
 
 def _random_graph(n: int, density: float, seed: int) -> WeightedGraph:
@@ -87,9 +94,7 @@ class TestCSRStructure:
             neighbors, weights = csr.neighbors(u)
             for v, w in zip(neighbors, weights):
                 assert w == matrix[min(u, int(v)), max(u, int(v))]
-        python_result = all_pairs_shortest_paths(csr, kernel="python")
-        numpy_result = all_pairs_shortest_paths(csr, kernel="numpy")
-        np.testing.assert_array_equal(python_result, numpy_result)
+        np.testing.assert_array_equal(all_pairs_shortest_paths(csr), reference_apsp(csr))
 
     def test_reweighted_rejects_wrong_shape(self):
         csr = _random_graph(6, 0.5, 5).to_csr()
@@ -117,15 +122,14 @@ class TestCSRStructure:
 
 
 class TestAPSPEquivalence:
-    """CSR kernels vs the adjacency-list reference: byte-identical."""
+    """Every exact APSP method vs the adjacency-list reference: byte-identical."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
-    def test_kernels_byte_identical_on_random_graphs(self, seed, kernel):
+    @pytest.mark.parametrize("method", EXACT_METHODS)
+    def test_methods_byte_identical_on_random_graphs(self, seed, method):
         graph = _random_graph(30, 0.2, seed)
-        reference = np.vstack([dijkstra(graph, s) for s in range(30)])
-        result = all_pairs_shortest_paths(graph.to_csr(), kernel=kernel)
-        np.testing.assert_array_equal(result, reference)
+        result = all_pairs_shortest_paths(graph.to_csr(), method=method)
+        np.testing.assert_array_equal(result, reference_apsp(graph))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_kernels_byte_identical_on_tmfg(self, seed):
@@ -134,9 +138,11 @@ class TestAPSPEquivalence:
         dissimilarity = similarity.max() - similarity
         np.fill_diagonal(dissimilarity, 0.0)
         csr = tmfg.graph.to_csr().reweighted(dissimilarity)
-        python_result = all_pairs_shortest_paths(csr, kernel="python")
-        numpy_result = all_pairs_shortest_paths(csr, kernel="numpy")
-        np.testing.assert_array_equal(python_result, numpy_result)
+        reference = reference_apsp(csr)
+        for method in EXACT_METHODS:
+            np.testing.assert_array_equal(
+                all_pairs_shortest_paths(csr, method=method), reference
+            )
 
     def test_backends_byte_identical(self):
         graph = _random_graph(25, 0.3, 7)
@@ -152,28 +158,25 @@ class TestAPSPEquivalence:
         np.testing.assert_array_equal(serial, threaded)
         np.testing.assert_array_equal(serial, processed)
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
-    def test_trailing_isolated_vertices(self, kernel):
+    def test_trailing_isolated_vertices(self):
         # Regression: an isolated *last* vertex must not truncate the
-        # previous vertex's relaxation segment in the numpy kernel.
+        # previous vertex's relaxation segment.
         graph = WeightedGraph(4)
         graph.add_edge(0, 2, 1.0)
         graph.add_edge(1, 2, 1.0)
-        result = all_pairs_shortest_paths(graph.to_csr(), kernel=kernel)
-        expected = np.vstack([dijkstra(graph, s) for s in range(4)])
-        np.testing.assert_array_equal(result, expected)
+        result = all_pairs_shortest_paths(graph.to_csr())
+        np.testing.assert_array_equal(result, reference_apsp(graph))
         assert result[1, 0] == 2.0
         assert np.isinf(result[3, 0])
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
-    def test_out_of_range_sources_rejected(self, kernel):
+    def test_out_of_range_sources_rejected(self):
         from repro.graph.shortest_paths import shortest_paths_from_sources
 
         csr = _random_graph(5, 0.5, 0).to_csr()
         with pytest.raises(IndexError):
-            shortest_paths_from_sources(csr, [-1], kernel=kernel)
+            shortest_paths_from_sources(csr, [-1])
         with pytest.raises(IndexError):
-            shortest_paths_from_sources(csr, [5], kernel=kernel)
+            shortest_paths_from_sources(csr, [5])
 
     def test_string_backend_accepted(self):
         graph = _random_graph(15, 0.4, 11)
@@ -181,46 +184,64 @@ class TestAPSPEquivalence:
         named = all_pairs_shortest_paths(graph, backend="thread")
         np.testing.assert_array_equal(serial, named)
 
-    def test_both_kernels_registered(self):
-        assert available_kernels("apsp") == ["numpy", "python"]
-        assert available_kernels("gain_update") == ["numpy", "python"]
+
+def _brute_force_tmfg_edges(similarity: np.ndarray, tmfg) -> list:
+    """Replay Algorithm 1's rounds with brute-force gains; return the edge list.
+
+    Every round recomputes each face's best remaining vertex from scratch
+    (``brute_force_best``), takes the ``prefix`` largest pairs under the
+    ``VertexFacePair`` order, keeps one face per vertex, and checks the
+    result is exactly the round ``tmfg`` inserted.
+    """
+    clique = tmfg.initial_clique
+    edges = [(clique[i], clique[j]) for i in range(4) for j in range(i + 1, 4)]
+    faces = {triangle_key(*corners) for corners in combinations(clique, 3)}
+    remaining = [v for v in range(similarity.shape[0]) if v not in clique]
+    position = 0
+    for size in tmfg.round_sizes:
+        pairs = []
+        for face in faces:
+            gain, vertex = brute_force_best(similarity, triangle_corners(face), remaining)
+            pairs.append(VertexFacePair(vertex=vertex, face=face, gain=gain))
+        pairs.sort(key=lambda pair: pair.sort_key(), reverse=True)
+        chosen = {}
+        for pair in pairs[: tmfg.prefix]:
+            chosen.setdefault(pair.vertex, pair)
+        batch = [(pair.vertex, pair.face) for pair in chosen.values()]
+        assert batch == list(tmfg.insertion_order[position : position + size])
+        position += size
+        for vertex, face in batch:
+            edges.extend((vertex, corner) for corner in triangle_corners(face))
+            faces.discard(face)
+            faces.update(child_faces(face, vertex))
+            remaining.remove(vertex)
+    assert not remaining
+    return edges
 
 
 class TestTMFGEquivalence:
-    """Gain-update kernels: identical TMFG edge sets on random inputs."""
+    """Bulk gain updates: the TMFG equals a brute-force replay, pair for pair."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("prefix", [1, 4, 10])
     def test_edge_sets_identical(self, seed, prefix):
         similarity = _random_similarity(30, seed)
-        python_tmfg = construct_tmfg(
-            similarity, prefix=prefix, build_bubble_tree=False, kernel="python"
-        )
-        numpy_tmfg = construct_tmfg(
-            similarity, prefix=prefix, build_bubble_tree=False, kernel="numpy"
-        )
-        assert python_tmfg.edges == numpy_tmfg.edges
-        assert python_tmfg.rounds == numpy_tmfg.rounds
+        tmfg = construct_tmfg(similarity, prefix=prefix, build_bubble_tree=False)
+        assert tmfg.edges == _brute_force_tmfg_edges(similarity, tmfg)
+        assert tmfg.rounds == len(tmfg.round_sizes)
 
 
 class TestPipelineEquivalence:
-    """Full tmfg_dbht: labels and dendrogram heights identical on each path."""
+    """Full tmfg_dbht: labels and dendrogram heights identical on each exact APSP path."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_labels_and_heights_identical(self, seed):
         similarity = _random_similarity(24, seed)
-        with kernel_scope("python"):
-            python_result = tmfg_dbht(similarity, prefix=3)
-        with kernel_scope("numpy"):
-            numpy_result = tmfg_dbht(similarity, prefix=3)
-        for k in (2, 3, 5):
-            np.testing.assert_array_equal(
-                python_result.cut(k), numpy_result.cut(k)
-            )
-        python_heights = [
-            node.height for node in python_result.dendrogram.internal_nodes()
-        ]
-        numpy_heights = [
-            node.height for node in numpy_result.dendrogram.internal_nodes()
-        ]
-        assert python_heights == numpy_heights
+        reference = tmfg_dbht(similarity, prefix=3)
+        reference_heights = [node.height for node in reference.dendrogram.internal_nodes()]
+        for method, options in (("scipy", {}), ("incremental", {"apsp_state": IncrementalAPSP()})):
+            result = tmfg_dbht(similarity, prefix=3, apsp_method=method, **options)
+            for k in (2, 3, 5):
+                np.testing.assert_array_equal(reference.cut(k), result.cut(k))
+            heights = [node.height for node in result.dendrogram.internal_nodes()]
+            assert heights == reference_heights

@@ -2,10 +2,10 @@
 
 The snapshots under ``tests/golden/`` pin the TMFG edge list, initial
 clique, insertion order, and flat cut labels of fixed-seed runs.  The test
-recomputes each case with both the ``python`` and ``numpy`` kernels and
-asserts byte-identical agreement with the committed JSON (exact integer
-equality, no tolerances), so any silent numerical drift in the gain
-updates, APSP kernels, or hierarchy construction fails loudly.
+recomputes each case and asserts byte-identical agreement with the
+committed JSON (exact integer equality, no tolerances), so any silent
+numerical drift in the gain updates, APSP, or hierarchy construction fails
+loudly.
 
 Regenerate after an *intentional* behaviour change with::
 
@@ -25,7 +25,6 @@ from repro.core.pipeline import tmfg_dbht
 from repro.datasets.similarity import similarity_and_dissimilarity
 from repro.datasets.stocks import generate_regime_switching_stream
 from repro.datasets.synthetic import make_time_series_dataset
-from repro.parallel.kernels import KERNEL_NAMES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -50,10 +49,10 @@ def _case_similarity(name: str) -> np.ndarray:
     return similarity
 
 
-def _snapshot(name: str, kernel: str) -> dict:
+def _snapshot(name: str, apsp_method: str = "dijkstra") -> dict:
     config = CASES[name]
     similarity = _case_similarity(name)
-    result = tmfg_dbht(similarity, prefix=config["prefix"], kernel=kernel)
+    result = tmfg_dbht(similarity, prefix=config["prefix"], apsp_method=apsp_method)
     labels = result.cut(config["clusters"])
     return {
         "case": name,
@@ -69,12 +68,11 @@ def _snapshot(name: str, kernel: str) -> dict:
     }
 
 
-@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_snapshot_matches_golden(case, kernel):
+def test_snapshot_matches_golden(case):
     path = GOLDEN_DIR / f"{case}.json"
     expected = json.loads(path.read_text(encoding="utf-8"))
-    actual = _snapshot(case, kernel)
+    actual = _snapshot(case)
     # Exact equality, field by field for a readable diff on failure.
     assert actual["initial_clique"] == expected["initial_clique"]
     assert actual["edges"] == expected["edges"]
@@ -86,10 +84,10 @@ def test_snapshot_matches_golden(case, kernel):
 def _regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for case in sorted(CASES):
-        payload = _snapshot(case, kernel="numpy")
-        reference = _snapshot(case, kernel="python")
+        payload = _snapshot(case)
+        reference = _snapshot(case, apsp_method="scipy")
         if payload != reference:
-            raise AssertionError(f"kernels disagree on {case}; refusing to regenerate")
+            raise AssertionError(f"APSP methods disagree on {case}; refusing to regenerate")
         path = GOLDEN_DIR / f"{case}.json"
         path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {path}")

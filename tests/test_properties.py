@@ -1,9 +1,9 @@
 """Property-based tests (hypothesis) on the core data structures and invariants.
 
-The TMFG and DBHT properties are parametrized over the ``kernel``
-(``python``/``numpy`` hot loops) and, for the DBHT pipeline, over the
-serial/process ``backend`` fixture, so both the bulk-numpy gain updates and
-the picklable process-pool APSP path are covered by the invariants.
+The DBHT pipeline property is parametrized over the serial/process
+``backend`` fixture, so the picklable process-pool APSP path is covered by
+the invariants; the bulk gain update is checked bit for bit against the
+brute-force reference of ``test_gains``.
 """
 
 from __future__ import annotations
@@ -14,11 +14,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.direction import compute_directions, compute_directions_bfs
 from repro.core.dbht import dbht
+from repro.core.gains import GainTable
 from repro.core.tmfg import construct_tmfg
 from repro.dendrogram.cut import cut_k
+from repro.graph.faces import triangle_corners, triangle_key
 from repro.graph.planarity import is_planar
 from repro.metrics.ari import adjusted_rand_index
-from repro.parallel.kernels import KERNEL_NAMES
+from tests.test_gains import brute_force_best
 
 
 def similarity_matrices(min_size=5, max_size=24):
@@ -45,16 +47,32 @@ def _dissimilarity_from(similarity: np.ndarray) -> np.ndarray:
 
 
 class TestTMFGProperties:
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
     @settings(max_examples=25, deadline=None)
     @given(similarity_matrices(), st.integers(min_value=1, max_value=12))
-    def test_tmfg_is_always_maximal_planar(self, kernel, similarity, prefix):
+    def test_tmfg_is_always_maximal_planar(self, similarity, prefix):
         n = similarity.shape[0]
-        result = construct_tmfg(
-            similarity, prefix=prefix, build_bubble_tree=False, kernel=kernel
-        )
+        result = construct_tmfg(similarity, prefix=prefix, build_bubble_tree=False)
         assert result.graph.num_edges == 3 * n - 6
         assert is_planar(result.graph)
+
+    @settings(max_examples=25, deadline=None)
+    @given(similarity_matrices(min_size=7), st.integers(min_value=0, max_value=10_000))
+    def test_gain_table_matches_brute_force_bit_for_bit(self, similarity, seed):
+        """Every refreshed face holds exactly the brute-force best pair."""
+        n = similarity.shape[0]
+        rng = np.random.default_rng(seed)
+        faces = {triangle_key(*rng.choice(n, size=3, replace=False)) for _ in range(6)}
+        corners = set().union(*faces)
+        remaining = [v for v in range(n) if v not in corners]
+        table = GainTable(similarity, remaining)
+        table.add_faces(sorted(faces, key=triangle_corners))
+        while remaining:
+            for face in faces:
+                expected = brute_force_best(similarity, triangle_corners(face), remaining)
+                assert table.best_for_face(face) == expected
+            batch = rng.choice(remaining, size=min(2, len(remaining)), replace=False)
+            table.remove_vertices([int(v) for v in batch])
+            remaining = [v for v in remaining if v not in set(batch.tolist())]
 
     @settings(max_examples=15, deadline=None)
     @given(similarity_matrices(min_size=6, max_size=20), st.integers(min_value=1, max_value=8))
@@ -106,17 +124,16 @@ class TestTMFGProperties:
 
 
 class TestDBHTProperties:
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
     @settings(
         max_examples=10,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
     )
     @given(similarity_matrices(min_size=8, max_size=20), st.integers(min_value=1, max_value=6))
-    def test_dendrogram_is_complete_and_monotone(self, kernel, backend, similarity, prefix):
+    def test_dendrogram_is_complete_and_monotone(self, backend, similarity, prefix):
         dissimilarity = _dissimilarity_from(similarity)
-        tmfg = construct_tmfg(similarity, prefix=prefix, kernel=kernel)
-        result = dbht(tmfg, similarity, dissimilarity, backend=backend, kernel=kernel)
+        tmfg = construct_tmfg(similarity, prefix=prefix)
+        result = dbht(tmfg, similarity, dissimilarity, backend=backend)
         assert result.dendrogram.is_complete
         assert result.dendrogram.heights_monotone()
 

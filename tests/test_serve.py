@@ -543,6 +543,19 @@ class TestReviewHardening:
         finally:
             handle.stop()
 
+    def test_removed_kernel_field_answers_400_naming_it(self, series):
+        from repro.serve import ServerError
+
+        _server, handle = _start_server()
+        try:
+            with ServeClient(handle.host, handle.port) as client:
+                with pytest.raises(ServerError) as excinfo:
+                    client.cluster(series, config={"prefix": 2, "kernel": "numpy"})
+                assert excinfo.value.status == 400
+                assert "['kernel']" in str(excinfo.value)
+        finally:
+            handle.stop()
+
     def test_oversized_header_line_answers_400(self):
         import socket
 

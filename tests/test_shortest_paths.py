@@ -1,10 +1,11 @@
 """Tests for Dijkstra SSSP and APSP against scipy.
 
-The APSP equivalence tests are parametrized over the ``kernel``
-(``python``/``numpy``) and — through the shared ``backend`` fixture — over
-the serial and process execution paths, so the picklable CSR chunk worker
-used by :class:`~repro.parallel.scheduler.ProcessBackend` is exercised by
-the tier-1 suite.
+The APSP equivalence tests are parametrized — through the shared
+``backend`` fixture — over the serial and process execution paths, so the
+picklable CSR chunk worker used by
+:class:`~repro.parallel.scheduler.ProcessBackend` is exercised by the
+tier-1 suite.  Byte-identity is asserted against the adjacency-list
+reference :func:`~repro.graph.shortest_paths.dijkstra`.
 """
 
 from __future__ import annotations
@@ -14,10 +15,18 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from repro.graph.shortest_paths import all_pairs_shortest_paths, dijkstra, shortest_paths_from_sources
+from repro.core.tmfg import construct_tmfg
+from repro.datasets.similarity import similarity_and_dissimilarity
+from repro.datasets.synthetic import make_time_series_dataset
+from repro.graph.incremental_apsp import IncrementalAPSP
+from repro.graph.shortest_paths import (
+    all_pairs_shortest_paths,
+    dijkstra,
+    shortest_paths_from_sources,
+)
 from repro.graph.weighted_graph import WeightedGraph
-from repro.parallel.kernels import KERNEL_NAMES
 from repro.parallel.scheduler import ThreadBackend
+from tests.conftest import reference_apsp
 
 
 def _random_graph(n: int, density: float, seed: int) -> WeightedGraph:
@@ -74,18 +83,15 @@ class TestDijkstra:
 
 
 class TestAPSP:
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
-    def test_matches_scipy(self, kernel, backend):
+    def test_matches_scipy(self, backend):
         graph = _random_graph(30, 0.25, 7)
-        distances = all_pairs_shortest_paths(graph, backend=backend, kernel=kernel)
+        distances = all_pairs_shortest_paths(graph, backend=backend)
         np.testing.assert_allclose(distances, _scipy_apsp(graph))
 
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
-    def test_kernels_and_backends_byte_identical(self, kernel, backend):
+    def test_backends_byte_identical_to_reference(self, backend):
         graph = _random_graph(26, 0.3, 21)
-        reference = all_pairs_shortest_paths(graph, kernel="python")
-        distances = all_pairs_shortest_paths(graph, backend=backend, kernel=kernel)
-        assert np.array_equal(distances, reference)
+        distances = all_pairs_shortest_paths(graph, backend=backend)
+        assert np.array_equal(distances, reference_apsp(graph))
 
     def test_subset_of_sources_on_backends(self, backend):
         graph = _random_graph(15, 0.4, 8)
@@ -116,26 +122,40 @@ class TestAPSP:
         graph = _random_graph(24, 0.3, 13)
         dijkstra_result = all_pairs_shortest_paths(graph, method="dijkstra")
         scipy_result = all_pairs_shortest_paths(graph, method="scipy")
-        np.testing.assert_allclose(scipy_result, dijkstra_result, rtol=1e-9)
+        assert np.array_equal(scipy_result, dijkstra_result)
 
     def test_scipy_method_keeps_zero_weight_edges(self):
         graph = WeightedGraph(3)
         graph.add_edge(0, 1, 0.0)
         graph.add_edge(1, 2, 1.0)
         distances = all_pairs_shortest_paths(graph, method="scipy")
-        assert distances[0, 1] == pytest.approx(0.0, abs=1e-9)
-        assert distances[0, 2] == pytest.approx(1.0, abs=1e-9)
+        assert distances[0, 1] == 0.0
+        assert distances[0, 2] == 1.0
+
+    def test_exact_methods_byte_identical_with_duplicated_object(self):
+        # Two identical series have correlation 1, so their dissimilarity
+        # edge has length exactly 0: every exact method must report 0.0
+        # for that pair, not a clamped stand-in.
+        data = make_time_series_dataset(40, 30, 4, noise=0.8, seed=7).data.copy()
+        data[7] = data[3]
+        similarity, dissimilarity = similarity_and_dissimilarity(data)
+        tmfg = construct_tmfg(similarity, prefix=1, build_bubble_tree=False)
+        graph = tmfg.graph.to_csr().reweighted(dissimilarity)
+        assert graph.weights.min() == 0.0
+        reference = reference_apsp(graph)
+        assert reference[3, 7] == 0.0
+        for method, options in (
+            ("dijkstra", {}),
+            ("scipy", {}),
+            ("incremental", {"state": IncrementalAPSP()}),
+        ):
+            distances = all_pairs_shortest_paths(graph, method=method, **options)
+            assert np.array_equal(distances, reference), method
 
     def test_unknown_method_rejected(self):
         graph = _random_graph(5, 0.5, 1)
         with pytest.raises(ValueError):
             all_pairs_shortest_paths(graph, method="bellman-ford-johnson")
-
-    def test_floyd_method_matches_dijkstra(self):
-        graph = _random_graph(24, 0.3, 17)
-        dijkstra_result = all_pairs_shortest_paths(graph, method="dijkstra")
-        floyd_result = all_pairs_shortest_paths(graph, method="floyd")
-        np.testing.assert_allclose(floyd_result, dijkstra_result, rtol=1e-9)
 
     def test_subset_of_sources(self):
         graph = _random_graph(12, 0.5, 5)

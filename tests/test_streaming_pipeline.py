@@ -251,15 +251,16 @@ class TestStreamingPipeline:
         np.testing.assert_array_equal(result.labels, result.ticks[-1].labels)
         assert result.warm_stats.builds == result.num_ticks
 
-    def test_kernel_choice_does_not_change_cuts(self, regime_stream):
+    def test_apsp_method_choice_does_not_change_cuts(self, regime_stream):
         kwargs = dict(window=120, hop=60, num_clusters=4)
-        numpy_run = StreamingPipeline(
-            regime_stream.returns, kernel="numpy", **kwargs
+        dijkstra_run = StreamingPipeline(
+            regime_stream.returns, apsp_method="dijkstra", **kwargs
         ).run()
-        python_run = StreamingPipeline(
-            regime_stream.returns, kernel="python", **kwargs
+        scipy_run = StreamingPipeline(
+            regime_stream.returns, apsp_method="scipy", **kwargs
         ).run()
-        for a, b in zip(numpy_run.ticks, python_run.ticks):
+        assert dijkstra_run.num_ticks == scipy_run.num_ticks > 1
+        for a, b in zip(dijkstra_run.ticks, scipy_run.ticks):
             np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_invalid_parameters_rejected(self, regime_stream):
