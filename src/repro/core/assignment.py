@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.bubble_tree import BubbleTree
 from repro.core.direction import DirectionResult
-from repro.parallel.atomics import WriteMax, WriteMin
 from repro.parallel.cost_model import WorkSpanTracker
 
 
@@ -94,21 +93,20 @@ def assign_vertices(
     reach = directions.reachable_converging_bubbles(tree)
 
     # -- first level: assignment to converging bubbles (groups) ------------
-    group_cells: List[WriteMax] = [
-        WriteMax((float("-inf"), -1)) for _ in range(num_vertices)
-    ]
+    # Per-vertex (score, bubble_id) maxima; ties go to the larger bubble id.
+    group_best: List[Tuple[float, int]] = [(float("-inf"), -1)] * num_vertices
     work = 0.0
     for bubble_id in converging:
         members = set(tree.bubble(bubble_id).vertices)
         for vertex in members:
             score = _chi(similarity, vertex, members)
-            group_cells[vertex].write((score, bubble_id))
+            group_best[vertex] = max(group_best[vertex], (score, bubble_id))
             work += 1.0
 
     group = np.full(num_vertices, -1, dtype=int)
     assigned_directly = np.zeros(num_vertices, dtype=bool)
     for vertex in range(num_vertices):
-        score, bubble_id = group_cells[vertex].value
+        score, bubble_id = group_best[vertex]
         if bubble_id >= 0:
             group[vertex] = bubble_id
             assigned_directly[vertex] = True
@@ -121,9 +119,7 @@ def assign_vertices(
 
     # Remaining vertices: closest reachable converging bubble by mean
     # shortest-path distance to its attached vertices.
-    min_cells: List[WriteMin] = [
-        WriteMin((float("inf"), -1)) for _ in range(num_vertices)
-    ]
+    closest: List[Tuple[float, int]] = [(float("inf"), -1)] * num_vertices
     vertex_reachable: Dict[int, Set[int]] = {}
     for vertex in range(num_vertices):
         if assigned_directly[vertex]:
@@ -142,11 +138,11 @@ def assign_vertices(
             if bubble_id not in reachable:
                 continue
             mean_distance = float(np.mean(shortest_paths[member_array, vertex]))
-            min_cells[vertex].write((mean_distance, bubble_id))
+            closest[vertex] = min(closest[vertex], (mean_distance, bubble_id))
             work += len(members)
 
     for vertex, reachable in vertex_reachable.items():
-        distance, bubble_id = min_cells[vertex].value
+        distance, bubble_id = closest[vertex]
         if bubble_id >= 0:
             group[vertex] = bubble_id
         else:
@@ -163,9 +159,7 @@ def assign_vertices(
             group[vertex] = best[1]
 
     # -- second level: assignment to bubbles --------------------------------
-    bubble_cells: List[WriteMax] = [
-        WriteMax((float("-inf"), -1)) for _ in range(num_vertices)
-    ]
+    bubble_best: List[Tuple[float, int]] = [(float("-inf"), -1)] * num_vertices
     for bubble in tree.bubbles:
         members = tuple(sorted(bubble.vertices))
         total_weight = _bubble_internal_weight(similarity, members)
@@ -176,12 +170,12 @@ def assign_vertices(
         member_set = set(members)
         for vertex in members:
             score = _chi(similarity, vertex, member_set) / total_weight
-            bubble_cells[vertex].write((score, bubble.id))
+            bubble_best[vertex] = max(bubble_best[vertex], (score, bubble.id))
             work += 1.0
 
     bubble_assignment = np.full(num_vertices, -1, dtype=int)
     for vertex in range(num_vertices):
-        _, bubble_id = bubble_cells[vertex].value
+        _, bubble_id = bubble_best[vertex]
         bubble_assignment[vertex] = bubble_id
 
     if tracker is not None:

@@ -3,28 +3,27 @@
 For each triangular face ``t`` of the graph under construction, the TMFG
 algorithm needs the *best vertex*: the not-yet-inserted vertex ``v`` that
 maximises the gain ``sum_{u in t} S[u, v]`` of inserting ``v`` into ``t``
-(Line 5 and Lines 15–16 of Algorithm 1).
+(Line 5 and Lines 15–16 of Algorithm 1), and each round it inserts the
+``prefix`` best vertex-face pairs (Lines 9–10).
 
-The paper maintains, for each face, a sorted list of candidate vertices so
-that the best vertex never has to be recomputed by scanning every face.
-Here we keep, per face, only the current best ``(gain, vertex)`` pair plus a
-reverse index ``vertex -> faces where it is currently best``; when a batch of
-vertices is inserted, exactly the faces that pointed at them are refreshed.
-The refresh stacks the affected faces into a single ``(faces, remaining)``
-gain matrix and takes one argmax per row, so the per-round cost is a
-handful of numpy calls regardless of how many faces a batch touched.  This
-preserves the paper's key property — the update work is proportional
-to the number of affected faces, not to all faces — while vectorising the
-per-face scans away.
+The table is a struct of arrays with one row per face: the sorted corners,
+the best gain and the best vertex (``-1`` once the face is split or no
+remaining vertex exists).  Rows are append-only; a TMFG on ``n`` vertices
+creates fewer than ``3n + 4`` faces.  When a batch of vertices is inserted,
+the stale rows — live rows whose best vertex was just removed — are found
+with one mask gather over all rows and refreshed together: their
+``(rows, remaining)`` gain matrix is stacked and reduced with one argmax per
+row, so a round costs a handful of numpy calls however many faces it
+touched.  :meth:`GainTable.select` is the round's batch selection.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.faces import Triangle, VertexFacePair, triangle_corners
+from repro.graph.faces import Triangle, triangle_corners
 
 
 class GainTable:
@@ -34,14 +33,13 @@ class GainTable:
         self._similarity = np.asarray(similarity, dtype=float)
         n = self._similarity.shape[0]
         self._remaining_mask = np.zeros(n, dtype=bool)
-        for vertex in remaining:
-            self._remaining_mask[vertex] = True
-        # face -> (gain, vertex); vertex is None when no remaining vertex exists
-        self._best: Dict[Triangle, Tuple[float, Optional[int]]] = {}
-        # vertex -> set of faces whose current best vertex is that vertex
-        self._best_of: Dict[int, Set[Triangle]] = {}
-        # Number of gain recomputations performed (used by the ablation bench).
-        self.recompute_count = 0
+        self._remaining_mask[np.fromiter(remaining, dtype=np.int64)] = True
+        capacity = 3 * n + 4
+        self._corners = np.zeros((capacity, 3), dtype=np.int64)
+        self._gain = np.full(capacity, -np.inf)
+        self._vertex = np.full(capacity, -1, dtype=np.int64)
+        self._row_of: Dict[Triangle, int] = {}
+        self._face_of: List[Triangle] = []
 
     # -- queries -----------------------------------------------------------
 
@@ -49,62 +47,44 @@ class GainTable:
     def num_remaining(self) -> int:
         return int(self._remaining_mask.sum())
 
-    def remaining_vertices(self) -> np.ndarray:
-        return np.flatnonzero(self._remaining_mask)
-
     def is_remaining(self, vertex: int) -> bool:
         return bool(self._remaining_mask[vertex])
 
     @property
     def num_faces(self) -> int:
-        return len(self._best)
-
-    def faces(self) -> List[Triangle]:
-        return list(self._best.keys())
+        return len(self._row_of)
 
     def best_for_face(self, face: Triangle) -> Tuple[float, Optional[int]]:
         """Current ``(gain, vertex)`` for ``face`` (vertex None if exhausted)."""
-        return self._best[face]
+        row = self._row_of[face]
+        vertex = int(self._vertex[row])
+        return float(self._gain[row]), (vertex if vertex >= 0 else None)
 
-    def best_pairs(self) -> List[VertexFacePair]:
-        """All active faces' best vertex-face pairs (faces with no candidate skipped)."""
-        pairs = []
-        for face, (gain, vertex) in self._best.items():
-            if vertex is not None:
-                pairs.append(VertexFacePair(vertex=vertex, face=face, gain=gain))
-        return pairs
+    def select(self, prefix: int) -> List[Tuple[int, Triangle]]:
+        """The round's ``(vertex, face)`` batch — Lines 9–10 of Algorithm 1.
 
-    def argmax_pair(self) -> Optional[VertexFacePair]:
-        """The single best pair under the ``VertexFacePair.sort_key`` order.
-
-        Equivalent to ``max(self.best_pairs(), key=sort_key)`` but runs as
-        one scan over the per-face bests with plain float comparisons — the
-        tie-break keys are only evaluated on exact gain ties, which are rare
-        with real-valued similarities.  This is the per-round gain check of
-        the TMFG warm-start replay, where it replaces building and sorting
-        the full candidate list.  Returns ``None`` when no face has a
-        remaining candidate.
+        Orders the faces' best pairs by gain descending, then vertex
+        ascending, then sorted corners ascending; takes the first ``prefix``
+        and keeps the first pair of each vertex, so every vertex goes into
+        one face.  Faces without a candidate are skipped.
         """
-        best_gain = float("-inf")
-        best_vertex: Optional[int] = None
-        best_face: Optional[Triangle] = None
-        for face, (gain, vertex) in self._best.items():
-            if vertex is None:
-                continue
-            if best_vertex is None or gain > best_gain:
-                best_gain, best_vertex, best_face = gain, vertex, face
-            elif gain == best_gain:
-                # sort_key orders by (gain, -vertex, descending corner
-                # tuple); replicate it exactly on ties.
-                if vertex < best_vertex or (
-                    vertex == best_vertex
-                    and tuple(-c for c in triangle_corners(face))
-                    > tuple(-c for c in triangle_corners(best_face))
-                ):
-                    best_gain, best_vertex, best_face = gain, vertex, face
-        if best_vertex is None:
-            return None
-        return VertexFacePair(vertex=best_vertex, face=best_face, gain=best_gain)
+        rows = np.flatnonzero(self._vertex[: len(self._face_of)] >= 0)
+        if rows.size > prefix:
+            # Every pair tied with the prefix-th largest gain stays in; the
+            # exact order below decides between them.
+            gains = self._gain[rows]
+            threshold = np.partition(gains, rows.size - prefix)[rows.size - prefix]
+            rows = rows[gains >= threshold]
+        corners, vertices = self._corners[rows], self._vertex[rows]
+        order = np.lexsort(
+            (corners[:, 2], corners[:, 1], corners[:, 0], vertices, -self._gain[rows])
+        )[:prefix]
+        _, first = np.unique(vertices[order], return_index=True)
+        chosen = order[np.sort(first)]
+        return [
+            (vertex, self._face_of[row])
+            for vertex, row in zip(vertices[chosen].tolist(), rows[chosen].tolist())
+        ]
 
     # -- updates -----------------------------------------------------------
 
@@ -114,57 +94,51 @@ class GainTable:
 
     def add_faces(self, faces: Sequence[Triangle]) -> None:
         """Register a batch of new faces with one bulk gain computation."""
-        for face in faces:
-            if face in self._best:
-                raise ValueError(f"face {set(face)} already registered")
-        self._recompute_faces(list(faces))
+        if not faces:
+            return
+        start, stop = len(self._face_of), len(self._face_of) + len(faces)
+        if len(set(faces)) < len(faces) or any(face in self._row_of for face in faces):
+            raise ValueError("face already registered")
+        if stop > len(self._vertex):
+            raise ValueError(f"more than {len(self._vertex)} faces registered")
+        for row, face in enumerate(faces, start):
+            self._row_of[face] = row
+            self._face_of.append(face)
+        self._corners[start:stop] = [triangle_corners(face) for face in faces]
+        self._refresh(np.arange(start, stop))
 
     def remove_face(self, face: Triangle) -> None:
         """Remove a face (it has been split by a vertex insertion)."""
-        gain, vertex = self._best.pop(face)
-        if vertex is not None:
-            faces_of_vertex = self._best_of.get(vertex)
-            if faces_of_vertex is not None:
-                faces_of_vertex.discard(face)
+        self._vertex[self._row_of.pop(face)] = -1
 
-    def remove_vertices(self, vertices: Sequence[int]) -> List[Triangle]:
-        """Mark vertices as inserted and refresh the faces that pointed at them.
-
-        Returns the list of faces whose best vertex was recomputed, which is
-        what the paper's Line 15 iterates over.
-        """
-        affected: Set[Triangle] = set()
+    def remove_vertices(self, vertices: Sequence[int]) -> None:
+        """Mark vertices as inserted and refresh the faces that pointed at them."""
         for vertex in vertices:
             if not self._remaining_mask[vertex]:
                 raise ValueError(f"vertex {vertex} is not in the remaining set")
             self._remaining_mask[vertex] = False
-            affected.update(self._best_of.pop(vertex, set()))
-        # Only faces that still exist need a refresh.
-        refreshed = [face for face in affected if face in self._best]
-        self._recompute_faces(refreshed)
-        return refreshed
+        best = self._vertex[: len(self._face_of)]
+        # Dead rows hold -1, which gathers the last mask entry; ``best >= 0``
+        # masks them out.
+        self._refresh(np.flatnonzero((best >= 0) & ~self._remaining_mask[best]))
 
     # -- internals ---------------------------------------------------------
 
-    def _recompute_faces(self, faces: List[Triangle]) -> None:
-        """Refresh a batch of faces: one gain matrix, one argmax per face.
+    def _refresh(self, rows: np.ndarray) -> None:
+        """Recompute the best vertex of ``rows``: one gain matrix, one argmax per row.
 
-        Builds the ``(len(faces), len(remaining))`` gain matrix with three
-        fancy gathers, ``(S[a] + S[b]) + S[c]``, and reduces it row-wise.
+        Builds the ``(len(rows), len(remaining))`` gain matrix with three
+        fancy gathers, ``(S[a] + S[b]) + S[c]``; ties go to the first
+        (smallest) remaining vertex.
         """
-        if not faces:
+        if rows.size == 0:
             return
-        self.recompute_count += len(faces)
-        for face in faces:
-            previous = self._best.get(face)
-            if previous is not None and previous[1] is not None:
-                self._best_of.get(previous[1], set()).discard(face)
         remaining = np.flatnonzero(self._remaining_mask)
         if remaining.size == 0:
-            for face in faces:
-                self._best[face] = (float("-inf"), None)
+            self._gain[rows] = -np.inf
+            self._vertex[rows] = -1
             return
-        corners = np.array([triangle_corners(face) for face in faces], dtype=np.int64)
+        corners = self._corners[rows]
         similarity = self._similarity
         gains = (
             similarity[np.ix_(corners[:, 0], remaining)]
@@ -172,35 +146,5 @@ class GainTable:
             + similarity[np.ix_(corners[:, 2], remaining)]
         )
         best_columns = np.argmax(gains, axis=1)
-        best_vertices = remaining[best_columns]
-        best_gains = gains[np.arange(len(faces)), best_columns]
-        for face, vertex, gain in zip(faces, best_vertices.tolist(), best_gains.tolist()):
-            self._best[face] = (float(gain), int(vertex))
-            self._best_of.setdefault(int(vertex), set()).add(face)
-
-
-class RescanGainTable(GainTable):
-    """Gain table that rescans *every* face after each insertion.
-
-    This reproduces the behaviour of the original TMFG implementation, which
-    "loops over all of the faces to find the faces that previously had v as
-    their best vertex" (Section IV).  It is used only by the ablation
-    benchmark comparing the two update strategies; results are identical,
-    only the amount of recomputation differs.
-    """
-
-    def remove_vertices(self, vertices: Sequence[int]) -> List[Triangle]:
-        removed = set()
-        for vertex in vertices:
-            if not self._remaining_mask[vertex]:
-                raise ValueError(f"vertex {vertex} is not in the remaining set")
-            self._remaining_mask[vertex] = False
-            self._best_of.pop(vertex, None)
-            removed.add(vertex)
-        refreshed = [
-            face
-            for face, (_, vertex) in list(self._best.items())
-            if vertex in removed or vertex is None
-        ]
-        self._recompute_faces(refreshed)
-        return refreshed
+        self._vertex[rows] = remaining[best_columns]
+        self._gain[rows] = gains[np.arange(rows.size), best_columns]

@@ -114,7 +114,6 @@ def tmfg_dbht(
         prefix=prefix,
         build_bubble_tree=True,
         tracker=tracker,
-        backend=backend,
         warm_start=warm_start,
     )
     tmfg_seconds = time.perf_counter() - start

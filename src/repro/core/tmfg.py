@@ -19,28 +19,26 @@ The streaming workload (:mod:`repro.streaming`) rebuilds a TMFG per rolling
 window, and consecutive windows share most of their data, so consecutive
 TMFGs usually make the same insertion decisions.  ``construct_tmfg`` accepts
 :class:`WarmStartHints` — the previous build's initial tetrahedron and
-per-round insertion batches — and *replays* them, verifying each round
-against the gain table (the replayed batch must be exactly what cold
-selection would pick).  A verified replay skips the expensive candidate
-sort, which dominates cold construction; any rejected check falls back to a
-cold build, so the output is always identical to a cold run.
+per-round insertion batches — and compares each round's selected batch with
+the hint's; ``warm_rounds`` counts the leading rounds that matched.  Cold
+and warm builds run the same selection, so the output is always identical
+to a cold run and the replay is verified telemetry, not a shortcut.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.bubble_tree import BubbleTree
 from repro.core.gains import GainTable
-from repro.graph.faces import Triangle, VertexFacePair, child_faces, triangle_corners, triangle_key
+from repro.graph.faces import Triangle, child_faces, triangle_corners, triangle_key
 from repro.graph.matrix import validate_similarity_matrix
 from repro.graph.weighted_graph import WeightedGraph
 from repro.parallel.cost_model import WorkSpanTracker
-from repro.parallel.scheduler import ParallelBackend
 
 
 @dataclass
@@ -174,12 +172,11 @@ class _TMFGBuilder:
         """Insert one round's (vertex, face) batch and refresh the gain table."""
         num_faces = self.gain_table.num_faces
         num_remaining = self.gain_table.num_remaining
-        self.gain_table.remove_vertices([vertex for vertex, _ in batch])
         # The batch's faces are distinct (one best vertex per face), so the
-        # structural updates can run per pair while the gain recomputation
-        # for all newly created faces is deferred into one bulk call — the
-        # round then costs one masked argmax over the stacked gain matrix
-        # instead of per-face Python work.
+        # structural updates run per pair while the gain table is refreshed
+        # in bulk afterwards: the split faces are dropped first, so only
+        # surviving faces whose best vertex was inserted are recomputed,
+        # then the new faces get one stacked argmax.
         round_new_faces: List[Triangle] = []
         for vertex, face in batch:
             a, b, c = triangle_corners(face)
@@ -198,6 +195,7 @@ class _TMFGBuilder:
                 self.faces.add(new_face)
                 round_new_faces.append(new_face)
             self.insertion_order.append((vertex, face))
+        self.gain_table.remove_vertices([vertex for vertex, _ in batch])
         self.gain_table.add_faces(round_new_faces)
         self.round_sizes.append(len(batch))
         # Work: sorting the per-face gains plus recomputing gains for the
@@ -231,7 +229,6 @@ def construct_tmfg(
     prefix: int = 1,
     build_bubble_tree: bool = True,
     tracker: Optional[WorkSpanTracker] = None,
-    backend: Optional[ParallelBackend] = None,
     warm_start: Optional[WarmStartHints] = None,
 ) -> TMFGResult:
     """Build a TMFG (or its prefix-batched variant) from a similarity matrix.
@@ -249,23 +246,13 @@ def construct_tmfg(
     tracker:
         Optional :class:`WorkSpanTracker`; work/span counters for the
         construction are recorded under the phase name ``"tmfg"``.
-    backend:
-        Reserved for the thread-pool backend; per-round insertions are
-        independent and can be dispatched through it.
     warm_start:
         Optional :class:`WarmStartHints` from a previous build on a similar
-        matrix.  Every replayed round is verified against the gain table —
-        the batch must equal what cold selection would choose — so the
-        result is always identical to a cold build.  For ``prefix=1`` (the
-        streaming default) the gain check computes the round's true argmax,
-        so a diverging hint costs nothing: the verified argmax is inserted
-        directly, and the whole warm build runs on single-scan selection
-        instead of the reference sort.  Larger prefixes verify each round
-        by running the reference batched selection and comparing, which
-        keeps the output guarantee but adds no speedup — the warm-start
-        win is the ``prefix=1`` path.  The result's
-        ``warm_started``/``warm_rounds`` fields record how far the replay
-        carried.
+        matrix.  Every round runs the same :meth:`GainTable.select` as a
+        cold build and compares its batch with the hint's, so the result is
+        always identical to a cold build; the first mismatch drops the
+        hints.  The result's ``warm_started``/``warm_rounds`` fields record
+        how far the replay carried.
     """
     if prefix < 1:
         raise ValueError("prefix must be at least 1")
@@ -274,48 +261,20 @@ def construct_tmfg(
     tracker = tracker if tracker is not None else WorkSpanTracker()
     clique = _initial_clique(similarity)
 
-    fast_select = warm_start is not None and prefix == 1
     hint_batches = _usable_hint_batches(warm_start, clique, n, prefix)
     builder = _TMFGBuilder(similarity, clique, build_bubble_tree, tracker)
     warm_rounds = 0
     while builder.gain_table.num_remaining > 0:
-        expected: Optional[Tuple[Tuple[int, Triangle], ...]] = None
-        if hint_batches is not None and warm_rounds < len(hint_batches):
-            expected = hint_batches[warm_rounds]
-        batch: Optional[Sequence[Tuple[int, Triangle]]] = None
-        if fast_select:
-            # Single-scan exact selection: ``argmax_pair`` is the pair
-            # ``_select_batch`` would return for prefix 1 (same tie-break),
-            # so verification and selection are the same scan.
-            best = builder.gain_table.argmax_pair()
-            if best is None:
-                raise RuntimeError(
-                    "no insertable vertex-face pair found; inconsistent gain table"
-                )
-            batch = ((best.vertex, best.face),)
-            if expected is not None:
-                if len(expected) == 1 and expected[0] == batch[0]:
-                    warm_rounds += 1
-                else:
-                    hint_batches = None
-        else:
-            if expected is not None:
-                cold_batch = _select_batch(builder.gain_table, prefix)
-                if [(pair.vertex, pair.face) for pair in cold_batch] == list(expected):
-                    warm_rounds += 1
-                    batch = expected
-                else:
-                    # Diverged: the remaining hints describe a different
-                    # construction, so stop consulting them.
-                    hint_batches = None
-                    batch = [(pair.vertex, pair.face) for pair in cold_batch]
-            if batch is None:
-                pairs = _select_batch(builder.gain_table, prefix)
-                if not pairs:
-                    raise RuntimeError(
-                        "no insertable vertex-face pair found; inconsistent gain table"
-                    )
-                batch = [(pair.vertex, pair.face) for pair in pairs]
+        batch = builder.gain_table.select(prefix)
+        if not batch:
+            raise RuntimeError("no insertable vertex-face pair found; inconsistent gain table")
+        if hint_batches is not None:
+            if warm_rounds < len(hint_batches) and tuple(batch) == hint_batches[warm_rounds]:
+                warm_rounds += 1
+            else:
+                # Diverged: the remaining hints describe a different
+                # construction, so stop consulting them.
+                hint_batches = None
         builder.insert_round(batch)
     return builder.result(prefix, warm_rounds=warm_rounds)
 
@@ -350,24 +309,3 @@ def _usable_hint_batches(
         position += size
     return batches
 
-
-def _select_batch(gain_table: GainTable, prefix: int) -> List[VertexFacePair]:
-    """Choose up to ``prefix`` vertex-face pairs to insert this round.
-
-    Implements Lines 9–10 of Algorithm 1: take the ``prefix`` largest-gain
-    pairs over all faces, then, for any vertex that appears with several
-    faces, keep only its highest-gain pair so each vertex is inserted into a
-    single face.
-    """
-    pairs = gain_table.best_pairs()
-    if not pairs:
-        return []
-    pairs.sort(key=lambda pair: pair.sort_key(), reverse=True)
-    top = pairs[:prefix]
-    chosen: Dict[int, VertexFacePair] = {}
-    for pair in top:
-        current = chosen.get(pair.vertex)
-        if current is None or pair.gain > current.gain:
-            chosen[pair.vertex] = pair
-    # Preserve the descending-gain order for deterministic insertion.
-    return sorted(chosen.values(), key=lambda pair: pair.sort_key(), reverse=True)

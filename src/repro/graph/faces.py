@@ -9,7 +9,6 @@ never creates two distinct faces with the same corner set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
 Triangle = FrozenSet[int]
@@ -41,15 +40,3 @@ def child_faces(triangle: Triangle, vertex: int) -> Tuple[Triangle, Triangle, Tr
         triangle_key(vertex, a, c),
     )
 
-
-@dataclass(frozen=True)
-class VertexFacePair:
-    """A candidate insertion of ``vertex`` into ``face`` with the given gain."""
-
-    vertex: int
-    face: Triangle
-    gain: float
-
-    def sort_key(self) -> Tuple[float, int, Tuple[int, int, int]]:
-        """Key for descending-gain ordering with deterministic tie-breaks."""
-        return (self.gain, -self.vertex, tuple(-c for c in triangle_corners(self.face)))

@@ -5,17 +5,14 @@ shared-memory machine.  Pure Python cannot exploit fine-grained shared-memory
 parallelism because of the GIL, so this package provides two complementary
 substitutes:
 
-* the paper's priority concurrent writes (Table I)
-  ``WriteMin``/``WriteMax``/``WriteAdd``, and serial/thread/process
-  backends (:mod:`repro.parallel.scheduler`) that coarse-grained work such
-  as the APSP source chunks is mapped over;
+* serial/thread/process backends (:mod:`repro.parallel.scheduler`) that
+  coarse-grained work such as the APSP source chunks is mapped over;
 * a work–span cost model (:mod:`repro.parallel.cost_model`) that records the
   work and span of each algorithm phase and predicts the running time on
   ``P`` processors as ``W / P + c * S``, which is how the scalability
   experiments (Fig. 4) are reproduced.
 """
 
-from repro.parallel.atomics import WriteAdd, WriteMax, WriteMin
 from repro.parallel.cost_model import PhaseCost, WorkSpanTracker, predicted_speedup
 from repro.parallel.scheduler import (
     ParallelBackend,
@@ -28,9 +25,6 @@ from repro.parallel.scheduler import (
 )
 
 __all__ = [
-    "WriteAdd",
-    "WriteMax",
-    "WriteMin",
     "PhaseCost",
     "WorkSpanTracker",
     "predicted_speedup",

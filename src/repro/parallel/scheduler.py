@@ -86,8 +86,7 @@ class ThreadBackend(_ExecutorBackend):
     """Run tasks on a shared :class:`~concurrent.futures.ThreadPoolExecutor`.
 
     Tasks must be thread-safe; the core algorithms only use this backend for
-    independent per-item work combined with the atomic cells in
-    :mod:`repro.parallel.atomics`.
+    independent per-item work.
     """
 
     _executor_cls = ThreadPoolExecutor

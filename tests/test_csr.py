@@ -18,7 +18,7 @@ import pytest
 from repro.core.pipeline import tmfg_dbht
 from repro.core.tmfg import construct_tmfg
 from repro.graph.csr import CSRGraph
-from repro.graph.faces import VertexFacePair, child_faces, triangle_corners, triangle_key
+from repro.graph.faces import child_faces, triangle_corners, triangle_key
 from repro.graph.incremental_apsp import IncrementalAPSP
 from repro.graph.shortest_paths import all_pairs_shortest_paths, dijkstra
 from repro.graph.weighted_graph import WeightedGraph
@@ -189,9 +189,9 @@ def _brute_force_tmfg_edges(similarity: np.ndarray, tmfg) -> list:
     """Replay Algorithm 1's rounds with brute-force gains; return the edge list.
 
     Every round recomputes each face's best remaining vertex from scratch
-    (``brute_force_best``), takes the ``prefix`` largest pairs under the
-    ``VertexFacePair`` order, keeps one face per vertex, and checks the
-    result is exactly the round ``tmfg`` inserted.
+    (``brute_force_best``), takes the ``prefix`` largest pairs by gain, then
+    smaller vertex, then smaller corners, keeps one face per vertex, and
+    checks the result is exactly the round ``tmfg`` inserted.
     """
     clique = tmfg.initial_clique
     edges = [(clique[i], clique[j]) for i in range(4) for j in range(i + 1, 4)]
@@ -201,13 +201,14 @@ def _brute_force_tmfg_edges(similarity: np.ndarray, tmfg) -> list:
     for size in tmfg.round_sizes:
         pairs = []
         for face in faces:
-            gain, vertex = brute_force_best(similarity, triangle_corners(face), remaining)
-            pairs.append(VertexFacePair(vertex=vertex, face=face, gain=gain))
-        pairs.sort(key=lambda pair: pair.sort_key(), reverse=True)
+            corners = triangle_corners(face)
+            gain, vertex = brute_force_best(similarity, corners, remaining)
+            pairs.append(((gain, -vertex, tuple(-c for c in corners)), vertex, face))
+        pairs.sort(key=lambda pair: pair[0], reverse=True)
         chosen = {}
-        for pair in pairs[: tmfg.prefix]:
-            chosen.setdefault(pair.vertex, pair)
-        batch = [(pair.vertex, pair.face) for pair in chosen.values()]
+        for _, vertex, face in pairs[: tmfg.prefix]:
+            chosen.setdefault(vertex, face)
+        batch = list(chosen.items())
         assert batch == list(tmfg.insertion_order[position : position + size])
         position += size
         for vertex, face in batch:
@@ -219,13 +220,23 @@ def _brute_force_tmfg_edges(similarity: np.ndarray, tmfg) -> list:
     return edges
 
 
+def _tie_heavy_similarity(n: int) -> np.ndarray:
+    """Random similarities rounded to one decimal: many exactly tied gains."""
+    similarity = np.round(_random_similarity(n, 0), 1)
+    np.fill_diagonal(similarity, 1.0)
+    return similarity
+
+
+TMFG_INPUTS = [pytest.param(_random_similarity(30, seed), id=str(seed)) for seed in SEEDS]
+TMFG_INPUTS.append(pytest.param(_tie_heavy_similarity(30), id="ties"))
+
+
 class TestTMFGEquivalence:
     """Bulk gain updates: the TMFG equals a brute-force replay, pair for pair."""
 
-    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("similarity", TMFG_INPUTS)
     @pytest.mark.parametrize("prefix", [1, 4, 10])
-    def test_edge_sets_identical(self, seed, prefix):
-        similarity = _random_similarity(30, seed)
+    def test_edge_sets_identical(self, similarity, prefix):
         tmfg = construct_tmfg(similarity, prefix=prefix, build_bubble_tree=False)
         assert tmfg.edges == _brute_force_tmfg_edges(similarity, tmfg)
         assert tmfg.rounds == len(tmfg.round_sizes)

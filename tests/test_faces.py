@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graph.faces import VertexFacePair, child_faces, triangle_corners, triangle_key
+from repro.graph.faces import child_faces, triangle_corners, triangle_key
 
 
 class TestTriangleKey:
@@ -38,14 +38,3 @@ class TestChildFaces:
         with pytest.raises(ValueError):
             child_faces(triangle_key(0, 1, 2), 1)
 
-
-class TestVertexFacePair:
-    def test_sort_key_orders_by_gain_first(self):
-        low = VertexFacePair(vertex=1, face=triangle_key(0, 1, 2), gain=0.5)
-        high = VertexFacePair(vertex=9, face=triangle_key(0, 1, 3), gain=0.9)
-        assert high.sort_key() > low.sort_key()
-
-    def test_sort_key_breaks_ties_by_smaller_vertex(self):
-        a = VertexFacePair(vertex=3, face=triangle_key(0, 1, 2), gain=0.5)
-        b = VertexFacePair(vertex=5, face=triangle_key(0, 1, 2), gain=0.5)
-        assert a.sort_key() > b.sort_key()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.gains import GainTable, RescanGainTable
+from repro.core.gains import GainTable
 from repro.graph.faces import triangle_key
 
 
@@ -52,8 +52,7 @@ class TestGainTable:
         for face in faces:
             table.add_face(face)
         _, best_vertex = table.best_for_face(faces[0])
-        refreshed = table.remove_vertices([best_vertex])
-        assert all(face in faces for face in refreshed)
+        table.remove_vertices([best_vertex])
         for face in faces:
             gain, vertex = table.best_for_face(face)
             expected = brute_force_best(
@@ -75,7 +74,7 @@ class TestGainTable:
         gain, vertex = table.best_for_face(face)
         assert vertex is None
         assert gain == float("-inf")
-        assert table.best_pairs() == []
+        assert table.select(1) == []
 
     def test_remove_face_then_vertex_does_not_refresh_it(self, similarity):
         table = GainTable(similarity, [4, 5])
@@ -83,16 +82,22 @@ class TestGainTable:
         table.add_face(face)
         _, best_vertex = table.best_for_face(face)
         table.remove_face(face)
-        refreshed = table.remove_vertices([best_vertex])
-        assert face not in refreshed
+        table.remove_vertices([best_vertex])
+        assert table.num_faces == 0
+        assert table.select(1) == []
+        with pytest.raises(KeyError):
+            table.best_for_face(face)
 
-    def test_best_pairs_lists_every_active_face(self, similarity):
+    def test_select_keeps_one_pair_per_best_vertex(self, similarity):
         table = GainTable(similarity, [4, 5, 6])
         faces = [triangle_key(0, 1, 2), triangle_key(0, 1, 3), triangle_key(1, 2, 3)]
         for face in faces:
             table.add_face(face)
-        pairs = table.best_pairs()
-        assert {pair.face for pair in pairs} == set(faces)
+        batch = table.select(len(faces))
+        best_vertices = {table.best_for_face(face)[1] for face in faces}
+        assert sorted(vertex for vertex, _ in batch) == sorted(best_vertices)
+        for vertex, face in batch:
+            assert table.best_for_face(face)[1] == vertex
 
     def test_num_remaining_tracks_removals(self, similarity):
         table = GainTable(similarity, [4, 5, 6])
@@ -104,32 +109,49 @@ class TestGainTable:
         assert table.is_remaining(6)
 
 
-class TestRescanGainTable:
-    def test_produces_same_state_as_optimized_table(self, similarity):
-        remaining = [4, 5, 6, 7, 8, 9]
-        fast = GainTable(similarity, list(remaining))
-        slow = RescanGainTable(similarity, list(remaining))
-        faces = [triangle_key(0, 1, 2), triangle_key(0, 2, 3), triangle_key(1, 2, 3)]
-        for face in faces:
-            fast.add_face(face)
-            slow.add_face(face)
-        fast.remove_vertices([7, 8])
-        slow.remove_vertices([7, 8])
-        for face in faces:
-            assert fast.best_for_face(face)[1] == slow.best_for_face(face)[1]
-            assert fast.best_for_face(face)[0] == pytest.approx(slow.best_for_face(face)[0])
 
-    def test_rescan_recomputes_more(self, similarity):
-        remaining = [4, 5, 6, 7, 8, 9]
-        fast = GainTable(similarity, list(remaining))
-        slow = RescanGainTable(similarity, list(remaining))
-        faces = [triangle_key(0, 1, 2), triangle_key(0, 2, 3), triangle_key(1, 2, 3)]
-        for face in faces:
-            fast.add_face(face)
-            slow.add_face(face)
-        # Remove a vertex that is the best of at most one face; the rescan
-        # variant still touches every face whose best vertex vanished, and
-        # both end in the same state.
-        fast.remove_vertices([9])
-        slow.remove_vertices([9])
-        assert slow.recompute_count >= fast.recompute_count
+def _table_with(entries, faces, remaining=(4, 5)):
+    """Gain table over a zero similarity matrix with the given entries set."""
+    matrix = np.zeros((6, 6))
+    np.fill_diagonal(matrix, 1.0)
+    for (u, v), value in entries.items():
+        matrix[u, v] = matrix[v, u] = value
+    table = GainTable(matrix, list(remaining))
+    table.add_faces(faces)
+    return table
+
+
+class TestSelect:
+    """``select`` orders by gain, then smaller vertex, then smaller corners."""
+
+    def test_orders_by_gain_first(self):
+        low, high = triangle_key(0, 1, 2), triangle_key(0, 1, 3)
+        table = _table_with({(2, 4): 0.5, (3, 5): 0.9}, [low, high])
+        assert table.select(2) == [(5, high), (4, low)]
+        assert table.select(1) == [(5, high)]
+
+    def test_breaks_ties_by_smaller_vertex(self):
+        # The larger vertex sits on the face with the smaller corners.
+        small_corners, large_corners = triangle_key(0, 1, 2), triangle_key(0, 1, 3)
+        table = _table_with({(2, 5): 0.5, (3, 4): 0.5}, [small_corners, large_corners])
+        assert table.select(2) == [(4, large_corners), (5, small_corners)]
+
+    def test_breaks_vertex_ties_by_smaller_corners(self):
+        small_corners, large_corners = triangle_key(0, 1, 2), triangle_key(0, 1, 3)
+        table = _table_with({(0, 4): 0.5, (1, 4): 0.5}, [large_corners, small_corners])
+        assert table.best_for_face(large_corners) == table.best_for_face(small_corners)
+        assert table.select(1) == [(4, small_corners)]
+
+    def test_keeps_one_face_per_vertex_within_the_prefix(self):
+        faces = [triangle_key(0, 1, 2), triangle_key(0, 1, 3), triangle_key(1, 2, 3)]
+        entries = {(0, 4): 0.5, (1, 4): 0.5, (2, 5): 0.3, (3, 5): 0.3}
+        # The prefix counts pairs before the per-vertex dedupe.
+        assert _table_with(entries, faces).select(2) == [(4, faces[0])]
+        assert _table_with(entries, faces).select(3) == [(4, faces[0]), (5, faces[2])]
+
+    def test_prefix_larger_than_face_count(self):
+        low, high = triangle_key(0, 1, 2), triangle_key(0, 1, 3)
+        table = _table_with({(2, 4): 0.5, (3, 5): 0.9}, [low, high])
+        assert table.select(10) == [(5, high), (4, low)]
+        table.remove_vertices([4, 5])
+        assert table.select(10) == []

@@ -59,27 +59,30 @@ class TestWarmStartTMFG:
         assert warm.warm_rounds == 0
         assert warm.insertion_order == cold.insertion_order
 
-    def test_argmax_pair_matches_reference_selection(self):
+    def test_select_one_matches_brute_force_under_ties(self):
         from repro.core.gains import GainTable
-        from repro.core.tmfg import _select_batch
+        from repro.graph.faces import triangle_corners
+        from tests.test_gains import brute_force_best
 
+        # Reverse corner order, so registration order cannot stand in for
+        # the corner tie-break.
+        faces = [frozenset(corners) for corners in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))]
         for seed in range(10):
-            similarity = random_similarity_matrix(14, seed=seed)
-            # Duplicate entries to force exact gain ties.
-            similarity[np.abs(similarity) < 0.3] = 0.5
-            similarity = (similarity + similarity.T) / 2.0
+            # Half-step similarities force exact ties between the best gains.
+            similarity = np.round(random_similarity_matrix(14, seed=seed) * 2) / 2
             np.fill_diagonal(similarity, 1.0)
             table = GainTable(similarity, remaining=range(4, 14))
-            table.add_faces(
-                [frozenset({0, 1, 2}), frozenset({0, 1, 3}), frozenset({0, 2, 3}), frozenset({1, 2, 3})]
+            table.add_faces(faces)
+            best = {
+                face: brute_force_best(similarity, triangle_corners(face), range(4, 14))
+                for face in faces
+            }
+            top = max(
+                faces,
+                key=lambda f: (best[f][0], -best[f][1], tuple(-c for c in triangle_corners(f))),
             )
-            expected = _select_batch(table, prefix=1)[0]
-            scanned = table.argmax_pair()
-            assert (scanned.vertex, scanned.face, scanned.gain) == (
-                expected.vertex,
-                expected.face,
-                expected.gain,
-            )
+            assert table.select(1) == [(best[top][1], top)]
+            assert table.best_for_face(top) == best[top]
 
     def test_warm_starter_aggregates_stats(self):
         starter = TMFGWarmStarter(enabled=True)
