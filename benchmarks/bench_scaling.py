@@ -4,7 +4,7 @@ Three sections, one JSON report (``benchmarks/results/scaling.json``):
 
 * **cold** — per graph size, wall-clock of every APSP method on the TMFG
   distance graph (``dijkstra``, ``scipy`` with its byte identity to
-  ``dijkstra``), plus ``landmark`` at the default count.
+  ``dijkstra`` asserted), plus ``landmark`` at the default count.
 * **warm ticks** — the incremental engine against cold recomputes over a
   sequence of sparse weight perturbations.  Each tick jitters
   ``--delta-edges`` low-traffic edges (the edges tight for the fewest
@@ -69,12 +69,12 @@ def cold_section(csr: CSRGraph) -> list:
     reference, seconds = _timed(lambda: all_pairs_shortest_paths(csr))
     rows.append({"method": "dijkstra", "seconds": round(seconds, 4)})
     result, seconds = _timed(lambda: all_pairs_shortest_paths(csr, method="scipy"))
-    rows.append(
-        {
-            "method": "scipy",
-            "seconds": round(seconds, 4),
-            "identical": bool(np.array_equal(result, reference)),
-        }
+    identical = bool(np.array_equal(result, reference))
+    rows.append({"method": "scipy", "seconds": round(seconds, 4), "identical": identical})
+    # Every exact method must reproduce the reference bytes; a wrong kernel
+    # fails the sweep (and the CI smoke step) here.
+    assert identical, (
+        f"scipy and dijkstra APSP differ at {csr.num_vertices} vertices"
     )
     result, seconds = _timed(lambda: all_pairs_shortest_paths(csr, method="landmark"))
     overestimate = result - reference

@@ -33,7 +33,7 @@ to any exported name imports its real module as before.
 
 from importlib import import_module
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 #: Exported name -> defining module; resolved on first attribute access.
 _EXPORTS = {

@@ -23,10 +23,14 @@ from repro.dendrogram.node import Dendrogram
 _LINKAGES = ("single", "complete", "average", "weighted")
 
 
-def _validate_distance_matrix(distances: np.ndarray) -> np.ndarray:
+def _validate_distance_matrix(distances: np.ndarray, method: str) -> np.ndarray:
+    if method not in _LINKAGES:
+        raise ValueError(f"unknown linkage {method!r}; expected one of {_LINKAGES}")
     distances = np.asarray(distances, dtype=float)
     if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
         raise ValueError("distance matrix must be square")
+    if distances.shape[0] == 0:
+        raise ValueError("cannot cluster an empty distance matrix")
     if not np.all(np.isfinite(distances)):
         raise ValueError("distance matrix contains NaN or infinite entries")
     if not np.allclose(distances, distances.T, atol=1e-8):
@@ -34,22 +38,23 @@ def _validate_distance_matrix(distances: np.ndarray) -> np.ndarray:
     return distances
 
 
-def _update_distance(
+def _update_distances(
     linkage_name: str,
-    d_ik: float,
-    d_jk: float,
+    d_i: np.ndarray,
+    d_j: np.ndarray,
     size_i: int,
     size_j: int,
-) -> float:
-    """Lance-Williams update: distance from the merge of (i, j) to cluster k."""
+) -> np.ndarray:
+    """Lance-Williams update: distances from the merge of (i, j) to every
+    cluster, given the rows ``d_i`` and ``d_j`` of ``i`` and ``j``."""
     if linkage_name == "single":
-        return min(d_ik, d_jk)
+        return np.minimum(d_i, d_j)
     if linkage_name == "complete":
-        return max(d_ik, d_jk)
+        return np.maximum(d_i, d_j)
     if linkage_name == "average":
-        return (size_i * d_ik + size_j * d_jk) / (size_i + size_j)
+        return (size_i * d_i + size_j * d_j) / (size_i + size_j)
     if linkage_name == "weighted":
-        return 0.5 * (d_ik + d_jk)
+        return 0.5 * (d_i + d_j)
     raise ValueError(f"unknown linkage {linkage_name!r}; expected one of {_LINKAGES}")
 
 
@@ -62,18 +67,26 @@ def linkage(distances: np.ndarray, method: str = "complete") -> np.ndarray:
     the resulting tree is identical to the one produced by a globally
     closest-pair algorithm.
     """
-    if method not in _LINKAGES:
-        raise ValueError(f"unknown linkage {method!r}; expected one of {_LINKAGES}")
-    distances = _validate_distance_matrix(distances)
+    return nn_chain_linkage(_validate_distance_matrix(distances, method), method)
+
+
+def nn_chain_linkage(distances: np.ndarray, method: str) -> np.ndarray:
+    """The nearest-neighbour-chain core of :func:`linkage`, unvalidated.
+
+    ``distances`` must be a non-empty, finite, square float matrix.
+    Internal callers that build their matrices symmetric by construction
+    (the DBHT hierarchy) call this directly and skip the ``O(n^2)``
+    validation.
+    """
     n = distances.shape[0]
-    if n == 0:
-        raise ValueError("cannot cluster an empty distance matrix")
     if n == 1:
         return np.zeros((0, 4))
 
     # Working copy: row r holds the distances of the cluster currently stored
-    # in slot r.  ``labels[r]`` is that cluster's id, ``sizes[r]`` its size.
-    work = distances.copy()
+    # in slot r, and merged-away slots hold inf in both their row and column,
+    # so a nearest neighbour is one argmin.  ``labels[r]`` is the cluster's
+    # id, ``sizes[r]`` its size.
+    work = np.array(distances, dtype=float)
     np.fill_diagonal(work, np.inf)
     active = np.ones(n, dtype=bool)
     labels = np.arange(n)
@@ -83,18 +96,13 @@ def linkage(distances: np.ndarray, method: str = "complete") -> np.ndarray:
     next_label = n
     chain: List[int] = []
 
-    def nearest(slot: int) -> int:
-        row = np.where(active, work[slot], np.inf)
-        row[slot] = np.inf
-        return int(np.argmin(row))
-
     remaining = n
     while remaining > 1:
         if not chain:
             chain.append(int(np.flatnonzero(active)[0]))
         while True:
             current = chain[-1]
-            candidate = nearest(current)
+            candidate = int(np.argmin(work[current]))
             if len(chain) > 1 and candidate == chain[-2]:
                 break
             # Tie-safety: if the previous chain element is equally close,
@@ -111,15 +119,17 @@ def linkage(distances: np.ndarray, method: str = "complete") -> np.ndarray:
         size_i, size_j = int(sizes[i]), int(sizes[j])
         merges.append((float(labels[i]), float(labels[j]), distance, float(size_i + size_j)))
 
-        # Merge j into slot i with the Lance-Williams update.
-        for k in np.flatnonzero(active):
-            if k == i or k == j:
-                continue
-            new_distance = _update_distance(
-                method, float(work[i, k]), float(work[j, k]), size_i, size_j
-            )
-            work[i, k] = new_distance
-            work[k, i] = new_distance
+        # Merge j into slot i with the Lance-Williams update over the
+        # active slots; every other entry of the rows stays inf.
+        others = np.flatnonzero(active)
+        others = others[(others != i) & (others != j)]
+        updated = _update_distances(
+            method, work[i, others], work[j, others], size_i, size_j
+        )
+        work[i, others] = updated
+        work[others, i] = updated
+        work[j, :] = np.inf
+        work[:, j] = np.inf
         active[j] = False
         labels[i] = next_label
         sizes[i] = size_i + size_j
@@ -140,12 +150,12 @@ def hac_dendrogram(
     Merge distances become dendrogram heights (the conventional choice for
     the COMP / AVG baselines).
     """
-    distances = _validate_distance_matrix(distances)
+    distances = _validate_distance_matrix(distances, method)
     n = distances.shape[0]
     dendrogram = Dendrogram(n)
     if n == 1:
         return dendrogram
-    merges = linkage(distances, method=method)
+    merges = nn_chain_linkage(distances, method)
     for a, b, distance, _ in merges:
         dendrogram.merge(int(a), int(b), height=float(distance), distance=float(distance))
     return dendrogram

@@ -15,6 +15,13 @@ bubbles among their descendants, and the ``n_b - 1`` nodes inside a group of
 sorted order (intra-bubble nodes first, ordered by bubble and merge
 distance, then inter-bubble nodes ordered by merge distance), which keeps
 the hierarchy monotone and places every group root at height 1.
+
+Each level's complete-linkage matrix comes from gathers of the
+shortest-path matrix in cluster order, a chunk of rows at a time, and a
+block max along both axes (``np.maximum.reduceat`` at the cluster starts),
+mirrored from its strict upper triangle.  It is symmetric by construction,
+so the levels call the unvalidated nearest-neighbour-chain core
+(:func:`repro.baselines.hac.nn_chain_linkage`) directly.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.hac import linkage
+from repro.baselines.hac import nn_chain_linkage
 from repro.core.assignment import AssignmentResult
 from repro.dendrogram.node import Dendrogram
 from repro.parallel.cost_model import WorkSpanTracker
@@ -39,18 +46,38 @@ class _Cluster:
     group_count: int = 1
 
 
+#: Rows of the shortest-path matrix gathered at a time when building a
+#: linkage matrix, so the inter-group level (every vertex) never copies the
+#: whole ``n x n`` matrix.
+_LINKAGE_ROW_CHUNK = 64
+
+
 def _max_linkage_matrix(
     clusters: Sequence[_Cluster], shortest_paths: np.ndarray
 ) -> np.ndarray:
-    """Complete-linkage distances between clusters (max pairwise distance)."""
-    k = len(clusters)
-    matrix = np.zeros((k, k), dtype=float)
-    for i in range(k):
-        for j in range(i + 1, k):
-            block = shortest_paths[np.ix_(clusters[i].vertices, clusters[j].vertices)]
-            value = float(block.max())
-            matrix[i, j] = value
-            matrix[j, i] = value
+    """Complete-linkage distances between clusters (max pairwise distance).
+
+    The clusters' rows and columns are gathered in cluster order, a chunk
+    of rows at a time, and reduced to block maxima by
+    ``np.maximum.reduceat`` at the cluster starts: along the columns per
+    chunk, then along the rows.  Only the strict upper triangle (cluster
+    ``i`` rows against cluster ``j > i`` columns) is kept and mirrored: the
+    shortest-path matrix is not bit-symmetric (``D[s, t]`` and ``D[t, s]``
+    sum a path's weights in opposite orders), and the linkage reads
+    ``i < j`` blocks only.
+    """
+    order = np.concatenate([cluster.vertices for cluster in clusters])
+    starts = np.cumsum([0] + [len(cluster.vertices) for cluster in clusters[:-1]])
+    column_max = np.empty((order.size, len(clusters)))
+    for begin in range(0, order.size, _LINKAGE_ROW_CHUNK):
+        rows = order[begin : begin + _LINKAGE_ROW_CHUNK]
+        column_max[begin : begin + rows.size] = np.maximum.reduceat(
+            shortest_paths[np.ix_(rows, order)], starts, axis=1
+        )
+    block = np.maximum.reduceat(column_max, starts, axis=0)
+    lower = np.tri(len(clusters), k=-1, dtype=bool)
+    matrix = np.where(lower, block.T, block)
+    np.fill_diagonal(matrix, 0.0)
     return matrix
 
 
@@ -60,16 +87,16 @@ def _run_level(
     shortest_paths: np.ndarray,
     level: str,
     **metadata: object,
-) -> Tuple[_Cluster, List[Tuple[float, int]]]:
+) -> Tuple[_Cluster, List[Tuple[float, _Cluster]]]:
     """Complete-linkage over ``clusters``; returns the root cluster and the
-    ``(merge distance, node id)`` pairs of the internal nodes created."""
+    ``(merge distance, cluster)`` pairs of the internal nodes created."""
     if len(clusters) == 1:
         return clusters[0], []
     distance_matrix = _max_linkage_matrix(clusters, shortest_paths)
-    merges = linkage(distance_matrix, method="complete")
+    merges = nn_chain_linkage(distance_matrix, "complete")
     # Local cluster ids: 0..k-1 are the input clusters, k+i is the i-th merge.
     local: Dict[int, _Cluster] = {i: cluster for i, cluster in enumerate(clusters)}
-    created: List[Tuple[float, int]] = []
+    created: List[Tuple[float, _Cluster]] = []
     k = len(clusters)
     for index, (a, b, distance, _) in enumerate(merges):
         left = local[int(a)]
@@ -88,7 +115,7 @@ def _run_level(
             group_count=left.group_count + right.group_count,
         )
         local[k + index] = merged
-        created.append((float(distance), node_id))
+        created.append((float(distance), merged))
     root = local[k + len(merges) - 1]
     return root, created
 
@@ -134,8 +161,8 @@ def build_hierarchy(
                 bubble=bubble_id,
             )
             work += float(len(vertices) ** 2)
-            for distance, node_id in created:
-                intra_records.append((bubble_id, distance, node_id))
+            for distance, cluster in created:
+                intra_records.append((bubble_id, distance, cluster.node_id))
             subgroup_clusters.append(
                 _Cluster(node_id=root.node_id, vertices=list(root.vertices))
             )
@@ -148,7 +175,9 @@ def build_hierarchy(
         )
         work += float(len(subgroup_clusters) ** 2)
         per_group_intra[group_id] = intra_records
-        per_group_inter[group_id] = inter_created
+        per_group_inter[group_id] = [
+            (distance, cluster.node_id) for distance, cluster in inter_created
+        ]
         group_clusters.append(
             _Cluster(node_id=group_root.node_id, vertices=list(group_root.vertices))
         )
@@ -161,13 +190,11 @@ def build_hierarchy(
     )
     work += float(len(group_clusters) ** 2)
 
-    _assign_heights(
-        dendrogram,
-        groups,
-        per_group_intra,
-        per_group_inter,
-        inter_group_created,
-    )
+    _assign_heights(dendrogram, groups, per_group_intra, per_group_inter)
+    # Inter-group nodes: height = number of converging bubbles (groups) in
+    # the node's descendants.
+    for _, cluster in inter_group_created:
+        dendrogram.set_height(cluster.node_id, float(cluster.group_count))
 
     if tracker is not None:
         tracker.add("hierarchy", work=work, span=float(np.log2(max(num_vertices, 2)) ** 2))
@@ -181,9 +208,8 @@ def _assign_heights(
     groups: Dict[int, List[int]],
     per_group_intra: Dict[int, List[Tuple[int, float, int]]],
     per_group_inter: Dict[int, List[Tuple[float, int]]],
-    inter_group_created: List[Tuple[float, int]],
 ) -> None:
-    """Re-assign dendrogram heights as described in Section V-D."""
+    """Re-assign the heights of the nodes inside each group (Section V-D)."""
     # Nodes inside each group: intra nodes first (by bubble, then merge
     # distance, then creation order), followed by inter-bubble nodes (by
     # merge distance, then creation order).  They receive the heights
@@ -210,24 +236,3 @@ def _assign_heights(
         for node_id, height in zip(ordered, heights):
             dendrogram.set_height(node_id, height)
 
-    # Inter-group nodes: height = number of converging bubbles (groups) in
-    # the node's descendants.
-    for _, node_id in inter_group_created:
-        node = dendrogram.node(node_id)
-        group_count = _count_group_roots(dendrogram, node_id, per_group_inter, groups)
-        dendrogram.set_height(node_id, float(group_count))
-
-
-def _count_group_roots(
-    dendrogram: Dendrogram,
-    node_id: int,
-    per_group_inter: Dict[int, List[Tuple[float, int]]],
-    groups: Dict[int, List[int]],
-) -> int:
-    """Number of groups whose vertices appear under ``node_id``."""
-    leaves = set(dendrogram.leaves_under(node_id))
-    count = 0
-    for group_id, vertices in groups.items():
-        if leaves & set(vertices):
-            count += 1
-    return count

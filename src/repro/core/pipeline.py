@@ -25,7 +25,6 @@ from repro.core.dbht import DBHTResult, dbht
 from repro.core.tmfg import TMFGResult, WarmStartHints, construct_tmfg
 from repro.datasets.similarity import default_dissimilarity
 from repro.dendrogram.node import Dendrogram
-from repro.graph.matrix import validate_similarity_matrix
 from repro.parallel.cost_model import WorkSpanTracker
 from repro.parallel.scheduler import ParallelBackend
 
@@ -103,9 +102,9 @@ def tmfg_dbht(
         per-step wall-clock times (keys ``"tmfg"``, ``"apsp"``,
         ``"bubble-tree"``, ``"hierarchy"``) used by the Fig. 5 reproduction.
     """
-    similarity = validate_similarity_matrix(similarity)
-    if dissimilarity is None:
-        dissimilarity = default_dissimilarity(similarity)
+    # ``construct_tmfg`` validates the similarity matrix (the fit's only
+    # check), so it runs before the default dissimilarity is derived.
+    similarity = np.asarray(similarity, dtype=float)
     tracker = tracker if tracker is not None else WorkSpanTracker()
 
     start = time.perf_counter()
@@ -117,6 +116,8 @@ def tmfg_dbht(
         warm_start=warm_start,
     )
     tmfg_seconds = time.perf_counter() - start
+    if dissimilarity is None:
+        dissimilarity = default_dissimilarity(similarity)
 
     dbht_result = dbht(
         tmfg_result,

@@ -8,13 +8,17 @@ computation is independent, which is where the paper gets its parallelism.
 
 The computation runs on the frozen CSR form of the graph
 (:class:`~repro.graph.csr.CSRGraph`) as a batched Bellman-Ford-style
-relaxation: all sources of a chunk advance one hop per round via a single
-gather (``dist[:, indices] + weights``) and one segmented min
-(``np.minimum.reduceat``).  Because the CSR graph is symmetric, row ``v`` is
-exactly the set of in-arcs of ``v``, so the CSR arrays double as the
-relaxation's group index.  Converges in hop-diameter rounds, which is small
-on filtered graphs, and every distance is byte-identical to the
-adjacency-list reference :func:`dijkstra`.
+relaxation: a block of 64 sources advances together, one hop per round.
+Because the CSR graph is symmetric, row ``v`` is exactly the set of in-arcs
+of ``v``.  The arcs are laid out "jagged-diagonal": vertices sorted by
+degree, slot ``k`` holding the ``k``-th in-arc of every vertex of degree
+> ``k`` (a contiguous row prefix), so a slot is one gather, one add and one
+in-place ``np.minimum``; the few hubs left once a slot covers fewer than 64
+vertices take their remaining arcs through one ``np.minimum.reduceat``.
+Every candidate is ``fl(d[u] + w)`` and the min is exact, so the converged
+distances are byte-identical to the adjacency-list reference
+:func:`dijkstra`.  Converges in hop-diameter rounds, which is small on
+filtered graphs.
 
 Sources are chunked over a :class:`~repro.parallel.scheduler.ParallelBackend`;
 the chunk worker is a module-level function over picklable CSR arrays, so
@@ -41,10 +45,11 @@ GraphLike = Union[WeightedGraph, CSRGraph]
 #: Landmark count used by ``apsp_method="landmark"`` when none is configured.
 DEFAULT_LANDMARKS = 32
 
-#: Sources relaxed together by the relaxation kernel.  The round's working set is
-#: ``arcs x block`` floats; a narrow block keeps it inside the CPU cache,
-#: which dominates the kernel's throughput (wider blocks are memory-bound).
-_RELAX_BLOCK_SOURCES = 16
+#: Sources relaxed together by the relaxation kernel, and the smallest vertex
+#: count a jagged-diagonal slot may cover before the remaining (hub) arcs go
+#: through one segmented min.  The round's working set is ``n x block``
+#: floats, small enough to stay in the CPU cache.
+_RELAX_BLOCK_SOURCES = 64
 
 
 def _as_csr(graph: GraphLike) -> CSRGraph:
@@ -212,13 +217,15 @@ def _relax_sources(
     """Batched relaxation: every source advances one hop per numpy round.
 
     A module-level function over plain arrays, so it pickles into
-    process-pool workers as the per-chunk worker.
+    process-pool workers as the per-chunk worker; the arc layout below is
+    built here, inside the worker.
 
-    Distances are kept transposed (vertices x sources) so the per-round
-    gather ``dist[indices]`` reads contiguous rows, and the in-arc segments
-    of the symmetric CSR give the segmented min directly.  Converges in
-    hop-diameter rounds; the result is byte-identical to Dijkstra's because
-    every path's length is accumulated in the same source-to-target order.
+    Distances are kept transposed (vertices x sources) with the vertices
+    sorted by degree, descending, so every slot of the jagged-diagonal
+    layout updates a contiguous row prefix (see :func:`_jagged_layout`).
+    Updates are in place and every candidate is ``fl(d[u] + w)``, so the
+    fixed point is the minimum over paths of their source-to-target sums:
+    byte-identical to Dijkstra's.
     """
     n = indptr.size - 1
     sources = np.asarray(sources, dtype=np.int64)
@@ -226,34 +233,80 @@ def _relax_sources(
     dist[np.arange(sources.size), sources] = 0.0
     if indices.size == 0 or sources.size == 0:
         return dist
-    # ``reduceat`` cannot express empty segments, so reduce only over the
-    # vertices that have in-arcs (their starts partition the arc array
-    # exactly) and scatter into the full rows; isolated vertices keep inf.
-    active = np.flatnonzero(np.diff(indptr) > 0)
-    segment_starts = indptr[:-1][active]
-    all_active = active.size == n
-    weight_column = weights[:, None]
+    position, slots, tail = _jagged_layout(indptr, indices, weights)
     for begin in range(0, sources.size, _RELAX_BLOCK_SOURCES):
         block_sources = sources[begin : begin + _RELAX_BLOCK_SOURCES]
         width = block_sources.size
         transposed = np.full((n, width), np.inf, dtype=float)
-        transposed[block_sources, np.arange(width)] = 0.0
-        candidates = np.empty((indices.size, width), dtype=float)
+        transposed[position[block_sources], np.arange(width)] = 0.0
+        previous = np.empty_like(transposed)
+        candidates = np.empty((slots[0][0].size if slots else 0, width))
+        if tail is not None:
+            tail_indices, tail_weights, tail_starts = tail
+            tail_candidates = np.empty((tail_indices.size, width))
         for _ in range(n):
-            np.take(transposed, indices, axis=0, out=candidates)
-            candidates += weight_column
-            reduced = np.minimum.reduceat(candidates, segment_starts, axis=0)
-            if all_active:
-                relaxed = reduced
-            else:
-                relaxed = np.full((n, width), np.inf, dtype=float)
-                relaxed[active] = reduced
-            np.minimum(transposed, relaxed, out=relaxed)
-            if np.array_equal(relaxed, transposed):
+            np.copyto(previous, transposed)
+            for slot_indices, slot_weights in slots:
+                count = slot_indices.size
+                gathered = np.take(
+                    transposed, slot_indices, axis=0, out=candidates[:count], mode="clip"
+                )
+                gathered += slot_weights
+                np.minimum(transposed[:count], gathered, out=transposed[:count])
+            if tail is not None:
+                gathered = np.take(
+                    transposed, tail_indices, axis=0, out=tail_candidates, mode="clip"
+                )
+                gathered += tail_weights
+                reduced = np.minimum.reduceat(gathered, tail_starts, axis=0)
+                hubs = tail_starts.size
+                np.minimum(transposed[:hubs], reduced, out=transposed[:hubs])
+            if np.array_equal(transposed, previous):
                 break
-            transposed, relaxed = relaxed, transposed
-        dist[begin : begin + width] = transposed.T
+        dist[begin : begin + width] = transposed[position].T
     return dist
+
+
+def _jagged_layout(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
+    """Degree-sorted ("jagged-diagonal") arc layout of a symmetric CSR graph.
+
+    Returns ``(position, slots, tail)``: vertex ``v`` is row ``position[v]``
+    of the permuted numbering (degree descending, ties by id), in which the
+    arcs' neighbour ids are given.
+
+    * slot ``k`` is ``(neighbours, weights[:, None])`` of the ``k``-th in-arc
+      of every vertex with degree > ``k`` — those vertices are exactly the
+      row prefix ``[:count_k]``, so a slot is one gather, one add and one
+      ``np.minimum`` on a contiguous prefix;
+    * slots stop once fewer than ``_RELAX_BLOCK_SOURCES`` vertices remain,
+      and the remaining arcs of those high-degree vertices (again a row
+      prefix) form ``tail = (neighbours, weights[:, None], segment starts)``
+      for one ``np.minimum.reduceat``, so hubs cost one round trip instead
+      of one slot per arc.  ``tail`` is ``None`` when no arcs remain.
+
+    Degree-0 vertices sort last and appear in no slot.
+    """
+    degrees = np.diff(indptr)
+    order = np.argsort(-degrees, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    sorted_degrees = degrees[order]
+    row_starts = indptr[:-1][order]
+    slots = []
+    count = int(np.count_nonzero(sorted_degrees > 0))
+    while count >= _RELAX_BLOCK_SOURCES:
+        arcs = row_starts[:count] + len(slots)
+        slots.append((position[indices[arcs]], weights[arcs][:, None]))
+        count = int(np.count_nonzero(sorted_degrees > len(slots)))
+    tail = None
+    if count:
+        lengths = sorted_degrees[:count] - len(slots)
+        tail_starts = np.zeros(count, dtype=np.int64)
+        np.cumsum(lengths[:-1], out=tail_starts[1:])
+        arcs = np.repeat(row_starts[:count] + len(slots) - tail_starts, lengths)
+        arcs += np.arange(arcs.size)
+        tail = (position[indices[arcs]], weights[arcs][:, None], tail_starts)
+    return position, slots, tail
 
 
 def _scipy_apsp(graph: GraphLike) -> np.ndarray:

@@ -10,6 +10,7 @@ from repro.datasets.similarity import similarity_and_dissimilarity
 from repro.datasets.synthetic import make_time_series_dataset
 from repro.graph.csr import CSRGraph
 from repro.graph.shortest_paths import dijkstra
+from repro.graph.weighted_graph import WeightedGraph
 from repro.parallel.scheduler import ProcessBackend
 
 
@@ -86,6 +87,38 @@ def random_similarity_matrix(n: int, seed: int = 0) -> np.ndarray:
     symmetric = (raw + raw.T) / 2.0
     np.fill_diagonal(symmetric, 1.0)
     return symmetric
+
+
+#: Inputs that exercise every branch of the relaxation kernel's
+#: degree-sorted layout: a hub of degree ``n - 1`` (its arcs beyond the
+#: jagged-diagonal slots go through the segmented-min tail), isolated
+#: vertices sorted after every slot, and zero-length edges.
+KERNEL_EDGE_CASES = ("star_path", "trailing_isolated", "zero_weights")
+
+
+def kernel_edge_case_graph(name: str, n: int = 140, seed: int = 0) -> WeightedGraph:
+    """One of :data:`KERNEL_EDGE_CASES` as an ``n``-vertex graph."""
+    rng = np.random.default_rng(seed)
+    graph = WeightedGraph(n)
+    if name == "star_path":
+        for v in range(1, n):
+            graph.add_edge(0, v, float(rng.uniform(0.5, 2.0)))
+        for v in range(1, n - 1):
+            graph.add_edge(v, v + 1, float(rng.uniform(0.1, 1.0)))
+    elif name in ("trailing_isolated", "zero_weights"):
+        # A sparse random graph on the leading vertices; the last ten stay
+        # isolated in the "trailing_isolated" case.
+        connected = n - 10 if name == "trailing_isolated" else n
+        for u in range(connected):
+            for v in rng.choice(connected, size=3, replace=False):
+                if int(v) != u:
+                    weight = float(rng.uniform(0.1, 3.0))
+                    if name == "zero_weights" and rng.random() < 0.2:
+                        weight = 0.0
+                    graph.add_edge(u, int(v), weight)
+    else:
+        raise ValueError(f"unknown kernel edge case {name!r}")
+    return graph
 
 
 def reference_apsp(graph) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
@@ -112,3 +114,64 @@ class TestQuality:
         distances = random_distance_matrix(12, 11)
         dendrogram = hac_dendrogram(distances, method="weighted")
         assert dendrogram.is_complete
+
+
+def _reference_lance_williams(distances, method):
+    """Pure-Python nearest-neighbour chain with scalar Lance-Williams updates."""
+    n = len(distances)
+    work = [[float(value) for value in row] for row in distances]
+    active = [True] * n
+    labels = list(range(n))
+    sizes = [1] * n
+    merges = []
+    chain = []
+
+    def nearest(slot):
+        best, best_distance = -1, math.inf
+        for other in range(n):
+            if active[other] and other != slot and work[slot][other] < best_distance:
+                best, best_distance = other, work[slot][other]
+        return best
+
+    for next_label in range(n, 2 * n - 1):
+        if not chain:
+            chain.append(active.index(True))
+        while True:
+            current = chain[-1]
+            candidate = nearest(current)
+            if len(chain) > 1 and candidate == chain[-2]:
+                break
+            if len(chain) > 1 and work[current][chain[-2]] <= work[current][candidate]:
+                break
+            chain.append(candidate)
+        j, i = chain.pop(), chain.pop()
+        size_i, size_j = sizes[i], sizes[j]
+        merges.append((labels[i], labels[j], work[i][j], size_i + size_j))
+        for k in range(n):
+            if not active[k] or k in (i, j):
+                continue
+            d_ik, d_jk = work[i][k], work[j][k]
+            if method == "single":
+                value = min(d_ik, d_jk)
+            elif method == "complete":
+                value = max(d_ik, d_jk)
+            elif method == "average":
+                value = (size_i * d_ik + size_j * d_jk) / (size_i + size_j)
+            else:
+                value = 0.5 * (d_ik + d_jk)
+            work[i][k] = work[k][i] = value
+        active[j] = False
+        labels[i] = next_label
+        sizes[i] = size_i + size_j
+        chain = [slot for slot in chain if slot not in (i, j)]
+    return np.asarray(merges, dtype=float)
+
+
+class TestLanceWilliamsUpdate:
+    @pytest.mark.parametrize("method", ["single", "complete", "average", "weighted"])
+    def test_matches_scalar_reference_on_ties(self, method):
+        # Rounding to one decimal makes many pairwise distances tie, which
+        # exercises the chain's tie-breaking as well as the update.
+        distances = np.round(random_distance_matrix(40, seed=9), 1)
+        expected = _reference_lance_williams(distances, method)
+        assert linkage(distances, method=method).tobytes() == expected.tobytes()

@@ -191,3 +191,55 @@ class TestDegenerateInputs:
         dendrogram = build_hierarchy(assignment, distances)
         assert dendrogram.is_complete
         assert dendrogram.heights_monotone()
+
+
+def _per_pair_linkage_matrix(clusters, shortest_paths):
+    """Reference complete-linkage matrix: one block per pair, ``i < j`` only."""
+    k = len(clusters)
+    matrix = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            block = shortest_paths[np.ix_(clusters[i].vertices, clusters[j].vertices)]
+            matrix[i, j] = matrix[j, i] = block.max()
+    return matrix
+
+
+def _node_bytes(dendrogram):
+    nodes = list(dendrogram.internal_nodes())
+    structure = np.array([(node.left, node.right) for node in nodes], dtype=np.int64)
+    heights = np.array([(node.height, node.distance) for node in nodes])
+    levels = [node.metadata.get("level") for node in nodes]
+    return structure.tobytes(), heights.tobytes(), levels
+
+
+class TestLinkageMatrixReadsUpperBlocks:
+    def test_one_ulp_asymmetric_shortest_paths(self, monkeypatch):
+        """The block-reduced linkage matrix must read only the ``i < j``
+        blocks, as the per-pair reference does.
+
+        A shortest-path matrix is not bit-symmetric (``D[s, t]`` and
+        ``D[t, s]`` sum a path in opposite orders).  Here every lower entry
+        is one ulp above or below its mirror, and the integer-valued upper
+        triangle is full of ties, so a reduction over both triangles (max,
+        min, or the raw asymmetric matrix) changes merge distances and
+        tie-breaks.
+        """
+        from repro.core import hierarchy
+        from repro.core.assignment import AssignmentResult
+
+        rng = np.random.default_rng(4)
+        n = 18
+        upper = np.triu(rng.integers(1, 4, size=(n, n)).astype(float), 1)
+        direction = rng.choice([-np.inf, np.inf], size=(n, n))
+        distances = upper + np.triu(np.nextafter(upper, direction), 1).T
+        assert not np.array_equal(distances, distances.T)
+        assignment = AssignmentResult(
+            group=np.repeat([0, 1, 2], 6),
+            bubble=np.tile(np.repeat([0, 1, 2], 2), 3),
+            converging_bubbles=[0, 1, 2],
+            assigned_directly=np.ones(n, dtype=bool),
+        )
+        built = build_hierarchy(assignment, distances)
+        monkeypatch.setattr(hierarchy, "_max_linkage_matrix", _per_pair_linkage_matrix)
+        reference = build_hierarchy(assignment, distances)
+        assert _node_bytes(built) == _node_bytes(reference)

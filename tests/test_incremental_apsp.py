@@ -21,7 +21,7 @@ from repro.graph.shortest_paths import (
     select_landmarks,
 )
 from repro.graph.weighted_graph import WeightedGraph
-from tests.conftest import reference_apsp
+from tests.conftest import KERNEL_EDGE_CASES, kernel_edge_case_graph, reference_apsp
 
 
 def _random_graph(n: int, density: float, seed: int) -> WeightedGraph:
@@ -153,6 +153,21 @@ class TestIncrementalByteIdentity:
         assert np.array_equal(stateless, all_pairs_shortest_paths(graph))
         with pytest.raises(TypeError):
             all_pairs_shortest_paths(graph, method="incremental", state=object())
+        # The kernel's edge cases, cold and after a repair that re-runs a
+        # subset of sources (one edge on the hub's shortest-path tree grows).
+        for name in KERNEL_EDGE_CASES:
+            graph = kernel_edge_case_graph(name)
+            engine = IncrementalAPSP()
+            cold = all_pairs_shortest_paths(
+                graph, backend=backend, method="incremental", state=engine
+            )
+            assert np.array_equal(cold, reference_apsp(graph)), name
+            neighbour, weight = min(graph.neighbors(0), key=lambda arc: arc[1])
+            graph.add_edge(0, int(neighbour), weight + 0.75)
+            repaired = all_pairs_shortest_paths(
+                graph, backend=backend, method="incremental", state=engine
+            )
+            assert np.array_equal(repaired, reference_apsp(graph)), name
 
 
 class TestLandmarkMode:

@@ -38,6 +38,40 @@ class TestPipeline:
         assert result.tracker is tracker
         assert tracker.total_work > 0
 
+    def test_similarity_validated_once_per_fit(self, small_matrices, monkeypatch):
+        from repro.core import pipeline, tmfg
+        from repro.graph.matrix import validate_similarity_matrix
+
+        calls = []
+
+        def counting(matrix, *args, **kwargs):
+            calls.append(1)
+            return validate_similarity_matrix(matrix, *args, **kwargs)
+
+        for module in (pipeline, tmfg):
+            monkeypatch.setattr(module, "validate_similarity_matrix", counting, raising=False)
+        similarity, dissimilarity = small_matrices
+        tmfg_dbht(similarity, dissimilarity, prefix=4)
+        assert len(calls) == 1
+        tmfg_dbht(similarity, prefix=4)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[1.0, 0.2, 0.1, 0.3], [0.5, 1.0, 0.2, 0.1], [0.1, 0.2, 1.0, 0.4], [0.3, 0.1, 0.4, 1.0]]),
+            np.full((5, 5), np.nan),
+            np.eye(3),
+            np.ones((4, 5)),
+        ],
+        ids=["asymmetric", "nan", "too-small", "not-square"],
+    )
+    def test_invalid_similarity_raises_validation_error(self, matrix):
+        from repro.graph.matrix import MatrixValidationError
+
+        with pytest.raises(MatrixValidationError):
+            tmfg_dbht(matrix, prefix=2)
+
     def test_cut_shortcut_matches_dbht_cut(self, small_matrices):
         similarity, dissimilarity = small_matrices
         result = tmfg_dbht(similarity, dissimilarity, prefix=1)

@@ -26,7 +26,7 @@ from repro.graph.shortest_paths import (
 )
 from repro.graph.weighted_graph import WeightedGraph
 from repro.parallel.scheduler import ThreadBackend
-from tests.conftest import reference_apsp
+from tests.conftest import KERNEL_EDGE_CASES, kernel_edge_case_graph, reference_apsp
 
 
 def _random_graph(n: int, density: float, seed: int) -> WeightedGraph:
@@ -92,12 +92,26 @@ class TestAPSP:
         graph = _random_graph(26, 0.3, 21)
         distances = all_pairs_shortest_paths(graph, backend=backend)
         assert np.array_equal(distances, reference_apsp(graph))
+        for name in KERNEL_EDGE_CASES:
+            graph = kernel_edge_case_graph(name)
+            distances = all_pairs_shortest_paths(graph, backend=backend)
+            assert np.array_equal(distances, reference_apsp(graph)), name
 
     def test_subset_of_sources_on_backends(self, backend):
         graph = _random_graph(15, 0.4, 8)
         full = all_pairs_shortest_paths(graph)
         subset = shortest_paths_from_sources(graph, [1, 4, 9], backend=backend)
         np.testing.assert_allclose(subset, full[[1, 4, 9]])
+        # Subsets on both sides of the 64-source block boundary, including
+        # the degree-(n-1) hub itself as a source.
+        graph = kernel_edge_case_graph("star_path", n=140)
+        reference = reference_apsp(graph)
+        rng = np.random.default_rng(3)
+        for count in (1, 63, 64, 65, 129):
+            sources = rng.permutation(140)[:count]
+            sources[0] = 0
+            subset = shortest_paths_from_sources(graph, sources, backend=backend)
+            assert np.array_equal(subset, reference[sources]), count
 
     def test_symmetric_for_undirected_graph(self):
         graph = _random_graph(20, 0.4, 9)
